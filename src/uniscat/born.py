@@ -135,9 +135,19 @@ class AmplitudeTable:
 # 2D
 
 
-def _shift_argument(ctx: WaveContext, side: str, sign: str, p):
-    """The longitudinal transform argument probed by T_side_sign at p."""
-    w = omega(p, ctx)
+def _cos_off_grazing(theta):
+    """cos(theta), refusing angles within GRAZING_MARGIN of grazing."""
+    c = np.cos(theta)
+    if np.any(np.abs(c) < GRAZING_MARGIN):
+        raise ValueError(
+            f"grazing angle: |cos theta| must stay >= {GRAZING_MARGIN}"
+        )
+    return c
+
+
+def _shift_argument(ctx: WaveContext, side: str, sign: str, w):
+    """The longitudinal transform argument probed by T_side_sign at a
+    transverse momentum with longitudinal partner w = omega."""
     if side == "left":
         return -(ctx.k - w) if sign == "plus" else -(ctx.k + w)
     return (ctx.k + w) if sign == "plus" else (ctx.k - w)
@@ -150,8 +160,9 @@ def born_t_values(v: PotentialSpec, side: str, sign: str, p, ctx: WaveContext = 
         raise ValueError("born_t_values is the 2D route; use born_t_3d")
     p = np.asarray(p, dtype=float)
     ctx = ctx or _ctx_of(v)
-    kx = _shift_argument(ctx, side, sign, p)
-    out = -1j * v.ft(kx, p) / (2.0 * omega(p, ctx))
+    w = omega(p, ctx)
+    kx = _shift_argument(ctx, side, sign, w)
+    out = -1j * v.ft(kx, p) / (2.0 * w)
     return out if np.ndim(out) else complex(out)
 
 
@@ -170,11 +181,7 @@ def born_f_2d(v: PotentialSpec, side: str, theta, ctx: WaveContext = None):
         raise ValueError("born_f_2d is the 2D route; use born_f_3d")
     ctx = ctx or _ctx_of(v)
     theta = np.asarray(theta, dtype=float)
-    c = np.cos(theta)
-    if np.any(np.abs(c) < GRAZING_MARGIN):
-        raise ValueError(
-            f"grazing angle: |cos theta| must stay >= {GRAZING_MARGIN}"
-        )
+    c = _cos_off_grazing(theta)
     kx = -ctx.k * (1.0 - c) if side == "left" else ctx.k * (1.0 + c)
     out = -v.ft(kx, ctx.k * np.sin(theta)) / (2.0 * np.sqrt(2.0 * np.pi))
     return out if np.ndim(out) else complex(out)
@@ -196,10 +203,7 @@ def born_t_3d(v: PotentialSpec, side: str, sign: str, px, py):
     if np.any(psq >= ctx.k**2):
         raise ValueError("transverse momentum must stay inside the propagation disk")
     w = np.sqrt(ctx.k**2 - psq)
-    if side == "left":
-        kz = -(ctx.k - w) if sign == "plus" else -(ctx.k + w)
-    else:
-        kz = (ctx.k + w) if sign == "plus" else (ctx.k - w)
+    kz = _shift_argument(ctx, side, sign, w)
     out = -1j * v.ft(px, py, kz) / (2.0 * w)
     return out if np.ndim(out) else complex(out)
 
@@ -213,11 +217,7 @@ def born_f_3d(v: PotentialSpec, side: str, theta, phi):
     ctx = _ctx_of(v)
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    c = np.cos(theta)
-    if np.any(np.abs(c) < GRAZING_MARGIN):
-        raise ValueError(
-            f"grazing angle: |cos theta| must stay >= {GRAZING_MARGIN}"
-        )
+    c = _cos_off_grazing(theta)
     s = np.sin(theta)
     px = ctx.k * s * np.cos(phi)
     py = ctx.k * s * np.sin(phi)
@@ -267,11 +267,7 @@ def closed_form_f_left(params: ConstructionParams, theta):
     """
     env = params._env1d()
     theta = np.asarray(theta, dtype=float)
-    c = np.cos(theta)
-    if np.any(np.abs(c) < GRAZING_MARGIN):
-        raise ValueError(
-            f"grazing angle: |cos theta| must stay >= {GRAZING_MARGIN}"
-        )
+    c = _cos_off_grazing(theta)
     ctx = params.ctx
     shift = ctx.k * (1.0 - c)
     core = _stable_phase_core(params, shift)

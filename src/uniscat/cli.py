@@ -19,52 +19,53 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
+from functools import cache
 
 import numpy as np
 
-from .born import amplitude_table, born_t_2d
+from .born import amplitude_table
 from .construct import ConstructionParams, build_potential_2d
 from .empower import ScreenSpec, fig2_curves, screen_power, total_power_changes
 from .envelopes import gaussian_envelope, quartic_envelope
 from .grids import WaveContext, gauss_grid
+from .potentials import PotentialSpec
 from .xfermat import (
     IntegrationError,
-    amplitude_table_from_operator,
     check_symplectic,
+    classify,
     conserved_current,
     evolve_transfer,
-    extract_t,
     operator_to_dict,
-    predicates,
     scattering_coeffs,
 )
 
 __all__ = ["main", "build_parser", "parse_k", "read_table"]
 
-_DEFAULTS = {
-    "k": "4pi",
-    "ell": -1,
-    "m": 1,
-    "envelope": "quartic",
-    "g0": 1e-2,
-    "b": 1.0,
-    "slab": 1.0,
-    "grid_n": 41,
-    "slices": None,
-    "tol": 1e-6,
-    "side": "left",
-    "method": "born",
-    "thetas": 721,
-    "nx": 201,
-    "ny": 201,
-    "d": 100.0,
-    "s": 10.0,
-    "s_max": 100.0,
-    "samples": 400,
-    "ks": "2pi,4pi,8pi,12pi",
-    "format": "csv",
-    "out": None,
-    "out_dir": ".",
+# Every option: name -> (default, argparse spec of its --flag).
+_OPTIONS = {
+    "k": ("4pi", dict(type=str, help="wavenumber; accepts multiples of pi like 2pi")),
+    "ell": (-1, dict(type=int, help="first grating harmonic (nonzero integer)")),
+    "m": (1, dict(type=int, help="second grating harmonic (nonzero, != ell)")),
+    "envelope": ("quartic", dict(choices=("gaussian", "quartic"), help="transverse envelope")),
+    "g0": (1e-2, dict(type=float, help="envelope strength")),
+    "b": (1.0, dict(type=float, help="envelope width")),
+    "slab": (1.0, dict(type=float, help="slab thickness")),
+    "grid_n": (41, dict(type=int, help="momentum nodes (odd)")),
+    "slices": (None, dict(type=int, help="integration slices")),
+    "tol": (1e-6, dict(type=float, help="predicate tolerance")),
+    "side": ("left", dict(choices=("left", "right"), help="incidence side")),
+    "method": ("born", dict(choices=("born", "closed"), help="amplitude route")),
+    "thetas": (721, dict(type=int, help="angle sample count")),
+    "nx": (201, dict(type=int, help="x samples")),
+    "ny": (201, dict(type=int, help="y samples")),
+    "d": (100.0, dict(type=float, help="screen distance")),
+    "s": (10.0, dict(type=float, help="screen width")),
+    "s_max": (100.0, dict(type=float, help="largest screen width")),
+    "samples": (400, dict(type=int, help="screen width count")),
+    "ks": ("2pi,4pi,8pi,12pi", dict(type=str, help="comma-separated wavenumbers")),
+    "format": ("csv", dict(choices=("csv", "json"), help="output format")),
+    "out": (None, dict(type=str, help="output path ('-' for stdout)")),
+    "out_dir": (".", dict(type=str, help="output directory")),
 }
 
 
@@ -92,19 +93,17 @@ def _echo_cfg(config) -> dict:
 
 def _resolve(args, keys) -> dict:
     """Layer defaults, then --config JSON, then explicit flags."""
-    cfg = {k: _DEFAULTS[k] for k in keys}
+    cfg = {k: _OPTIONS[k][0] for k in keys}
     config_path = getattr(args, "config", None)
     if config_path:
         try:
             with open(config_path) as fh:
                 loaded = json.load(fh)
-        except OSError:
-            raise
         except json.JSONDecodeError as exc:
             raise ValueError(f"config file {config_path} is not valid JSON: {exc}")
         if not isinstance(loaded, dict):
             raise ValueError(f"config file {config_path} must hold a JSON object")
-        unknown = set(loaded) - set(_DEFAULTS)
+        unknown = set(loaded) - set(_OPTIONS)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         for key in keys:
@@ -128,23 +127,28 @@ def _open_out(path):
             yield fh
 
 
-def _write_table(fh, config, columns, rows, fmt):
+def _write_json(path, blob, indent=None):
+    with _open_out(path) as fh:
+        json.dump(blob, fh, sort_keys=True, indent=indent)
+        fh.write("\n")
+
+
+def _write_table(path, config, columns, rows, fmt):
     if fmt == "json":
-        json.dump(
+        _write_json(
+            path,
             {
                 "config": _echo_cfg(config),
                 "columns": list(columns),
                 "rows": [[_fmt(x) for x in row] for row in rows],
             },
-            fh,
-            sort_keys=True,
         )
-        fh.write("\n")
         return
-    fh.write("# " + json.dumps(_echo_cfg(config), sort_keys=True) + "\n")
-    fh.write(",".join(columns) + "\n")
-    for row in rows:
-        fh.write(",".join(_fmt(x) for x in row) + "\n")
+    with _open_out(path) as fh:
+        fh.write("# " + json.dumps(_echo_cfg(config), sort_keys=True) + "\n")
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(x) for x in row) + "\n")
 
 
 def read_table(path):
@@ -163,27 +167,25 @@ def read_table(path):
     return config, columns, np.array(data)
 
 
-def _construction(cfg) -> ConstructionParams:
+def _potential(cfg) -> PotentialSpec:
     make = {"gaussian": gaussian_envelope, "quartic": quartic_envelope}
     if cfg["envelope"] not in make:
         raise ValueError(
             f"--envelope must be gaussian or quartic, got {cfg['envelope']!r}"
         )
     env = make[cfg["envelope"]](float(cfg["g0"]), float(cfg["b"]))
-    return ConstructionParams(
+    params = ConstructionParams(
         ell=int(cfg["ell"]),
         m=int(cfg["m"]),
         envelope=env,
         ctx=WaveContext(k=cfg["k"]),
         slab=float(cfg["slab"]),
     )
+    return build_potential_2d(params)
 
 
-def _cmd_construct(args) -> int:
-    keys = ("k", "ell", "m", "envelope", "g0", "b", "slab", "nx", "ny", "format", "out")
-    cfg = _resolve(args, keys)
-    params = _construction(cfg)
-    v = build_potential_2d(params)
+def _cmd_construct(cfg) -> int:
+    v = _potential(cfg)
     x0, x1 = v.x_support
     y0, y1 = v.y_support
     xs = np.linspace(x0, x1, int(cfg["nx"]))
@@ -191,125 +193,79 @@ def _cmd_construct(args) -> int:
     xg, yg = np.meshgrid(xs, ys, indexing="ij")
     vals = v.value(xg.ravel(), yg.ravel())
     rows = np.column_stack([xg.ravel(), yg.ravel(), vals.real, vals.imag])
-    with _open_out(cfg["out"]) as fh:
-        _write_table(fh, cfg, ("x", "y", "re_v", "im_v"), rows, cfg["format"])
+    _write_table(cfg["out"], cfg, ("x", "y", "re_v", "im_v"), rows, cfg["format"])
     return 0
 
 
-def _cmd_amplitude(args) -> int:
-    keys = (
-        "k", "ell", "m", "envelope", "g0", "b", "slab",
-        "side", "method", "thetas", "format", "out",
-    )
-    cfg = _resolve(args, keys)
-    params = _construction(cfg)
+def _thetas(n_forward: int, n_backward: int) -> np.ndarray:
+    """Evenly spaced angles on the forward, then the backward half, kept a
+    fixed margin away from grazing."""
     margin = 5e-3
+    half = np.pi / 2.0
+    return np.concatenate(
+        [
+            np.linspace(-half + margin, half - margin, n_forward),
+            np.linspace(half + margin, 3.0 * half - margin, n_backward),
+        ]
+    )
+
+
+def _cmd_amplitude(cfg) -> int:
+    v = _potential(cfg)
     n = int(cfg["thetas"])
     if n < 2:
         raise ValueError(f"--thetas must be at least 2, got {n}")
-    half = np.pi / 2.0
-    thetas = np.concatenate(
-        [
-            np.linspace(-half + margin, half - margin, n // 2 + n % 2),
-            np.linspace(half + margin, 3.0 * half - margin, n // 2),
-        ]
-    )
+    thetas = _thetas(n // 2 + n % 2, n // 2)
     if cfg["method"] == "closed" and cfg["side"] != "left":
         raise ValueError("the closed-form amplitude is left-incidence only")
     method = {"born": "born", "closed": "closed_form"}.get(cfg["method"])
     if method is None:
         raise ValueError(f"--method must be born or closed, got {cfg['method']!r}")
-    v = build_potential_2d(params)
     table = amplitude_table(v, cfg["side"], thetas, method=method)
     rows = np.column_stack(
         [table.thetas, table.values.real, table.values.imag, np.abs(table.values)]
     )
-    with _open_out(cfg["out"]) as fh:
-        _write_table(fh, cfg, ("theta", "re_f", "im_f", "abs_f"), rows, cfg["format"])
+    _write_table(cfg["out"], cfg, ("theta", "re_f", "im_f", "abs_f"), rows, cfg["format"])
     return 0
 
 
 def _evolved(cfg):
-    params = _construction(cfg)
-    v = build_potential_2d(params)
-    grid = gauss_grid(int(cfg["grid_n"]), params.ctx)
+    v = _potential(cfg)
+    grid = gauss_grid(int(cfg["grid_n"]), v.params.ctx)
     slices = cfg["slices"]
-    op = evolve_transfer(v, grid, slices=None if slices is None else int(slices))
-    return params, v, grid, op
+    return evolve_transfer(v, grid, slices=None if slices is None else int(slices))
 
 
-def _cmd_verify(args) -> int:
-    keys = (
-        "k", "ell", "m", "envelope", "g0", "b", "slab",
-        "grid_n", "slices", "tol", "out",
-    )
-    cfg = _resolve(args, keys)
-    params, v, grid, op = _evolved(cfg)
-    flags = predicates(op, float(cfg["tol"]))
+def _cmd_verify(cfg) -> int:
+    op = _evolved(cfg)
     left = scattering_coeffs(op, "left")
     right = scattering_coeffs(op, "right")
-    j_lr = conserved_current(left, right, grid)
-    tables = {
-        f"{side}_{sign}": extract_t(op, side, sign)
-        for side in ("left", "right")
-        for sign in ("plus", "minus")
-    }
-    sups = {key: float(np.max(np.abs(t.values))) for key, t in tables.items()}
-    # Flux conservation ties the two transmissions together at the forward
-    # node only; away from it the vectors legitimately differ.
-    c = grid.center_index
-    recip = float(
-        abs(tables["left_plus"].values[c] - tables["right_minus"].values[c])
-    )
+    j_lr = conserved_current(left, right, op.grid)
     report = {
         "config": _echo_cfg(cfg),
         "slices": op.slices,
         "symplectic_residual": check_symplectic(op),
         "m22_condition": op.m22_condition,
-        "sup_norms": sups,
-        "reciprocity_mismatch": recip,
         "current_minus_inf": [j_lr[0].value.real, j_lr[0].value.imag],
         "current_plus_inf": [j_lr[1].value.real, j_lr[1].value.imag],
-        "predicates": flags,
+        **classify(op, float(cfg["tol"])),
     }
-    with _open_out(cfg["out"]) as fh:
-        json.dump(report, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(cfg["out"], report, indent=2)
     return 0
 
 
-def _cmd_xfer(args) -> int:
-    keys = (
-        "k", "ell", "m", "envelope", "g0", "b", "slab",
-        "grid_n", "slices", "out",
-    )
-    cfg = _resolve(args, keys)
-    _, _, _, op = _evolved(cfg)
+def _cmd_xfer(cfg) -> int:
+    op = _evolved(cfg)
     dump = operator_to_dict(op)
     dump["config"] = _echo_cfg(cfg)
-    with _open_out(cfg["out"]) as fh:
-        json.dump(dump, fh, sort_keys=True)
-        fh.write("\n")
+    _write_json(cfg["out"], dump)
     return 0
 
 
-def _cmd_power(args) -> int:
-    keys = (
-        "k", "ell", "m", "envelope", "g0", "b", "slab",
-        "thetas", "d", "s", "out",
-    )
-    cfg = _resolve(args, keys)
-    params = _construction(cfg)
-    v = build_potential_2d(params)
-    margin = 5e-3
+def _cmd_power(cfg) -> int:
+    v = _potential(cfg)
     n = max(801, int(cfg["thetas"]))
-    half = np.pi / 2.0
-    thetas = np.concatenate(
-        [
-            np.linspace(-half + margin, half - margin, n),
-            np.linspace(half + margin, 3.0 * half - margin, n),
-        ]
-    )
+    thetas = _thetas(n, n)
     left = amplitude_table(v, "left", thetas, method="born")
     right = amplitude_table(v, "right", thetas, method="born")
     summary = total_power_changes(left, right)
@@ -322,11 +278,9 @@ def _cmd_power(args) -> int:
         "right_backward": summary.right_backward,
         "right_forward": summary.right_forward,
         "right_total": summary.right_total,
-        "screen_power": screen_power(params, screen),
+        "screen_power": screen_power(v.params, screen),
     }
-    with _open_out(cfg["out"]) as fh:
-        json.dump(report, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(cfg["out"], report, indent=2)
     return 0
 
 
@@ -337,9 +291,7 @@ def _k_tag(k: float) -> str:
     return f"{k:g}".replace(".", "p")
 
 
-def _cmd_fig2(args) -> int:
-    keys = ("ell", "m", "g0", "b", "slab", "d", "s_max", "samples", "ks", "out_dir")
-    cfg = _resolve(args, keys)
+def _cmd_fig2(cfg) -> int:
     ks = [parse_k(tok) for tok in str(cfg["ks"]).split(",") if tok.strip()]
     if not ks:
         raise ValueError("--ks produced an empty wavenumber list")
@@ -369,47 +321,44 @@ def _cmd_fig2(args) -> int:
         rows = np.column_stack([curve.s_values / slab, curve.values])
         curve_cfg = dict(cfg, k=curve.k)
         curve_cfg.pop("ks")
-        with open(path, "w") as fh:
-            _write_table(fh, curve_cfg, ("s_over_a", "dP_hat"), rows, "csv")
+        _write_table(path, curve_cfg, ("s_over_a", "dP_hat"), rows, "csv")
         files[_k_tag(curve.k)] = name
     manifest = {"config": _echo_cfg(cfg), "files": files}
     mpath = os.path.join(cfg["out_dir"], "fig2_manifest.json")
-    with open(mpath, "w") as fh:
-        json.dump(manifest, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    _write_json(mpath, manifest, indent=2)
     print(mpath)
     return 0
 
 
-def _add_common(sub, *names):
-    spec = {
-        "k": dict(type=str, help="wavenumber; accepts multiples of pi like 2pi"),
-        "ell": dict(type=int, help="first grating harmonic (nonzero integer)"),
-        "m": dict(type=int, help="second grating harmonic (nonzero, != ell)"),
-        "envelope": dict(choices=("gaussian", "quartic"), help="transverse envelope"),
-        "g0": dict(type=float, help="envelope strength"),
-        "b": dict(type=float, help="envelope width"),
-        "slab": dict(type=float, help="slab thickness"),
-        "grid_n": dict(type=int, help="momentum nodes (odd)"),
-        "slices": dict(type=int, help="integration slices"),
-        "tol": dict(type=float, help="predicate tolerance"),
-        "side": dict(choices=("left", "right"), help="incidence side"),
-        "method": dict(choices=("born", "closed"), help="amplitude route"),
-        "thetas": dict(type=int, help="angle sample count"),
-        "nx": dict(type=int, help="x samples"),
-        "ny": dict(type=int, help="y samples"),
-        "d": dict(type=float, help="screen distance"),
-        "s": dict(type=float, help="screen width"),
-        "s_max": dict(type=float, help="largest screen width"),
-        "samples": dict(type=int, help="screen width count"),
-        "ks": dict(type=str, help="comma-separated wavenumbers"),
-        "format": dict(choices=("csv", "json"), help="output format"),
-        "out": dict(type=str, help="output path ('-' for stdout)"),
-        "out_dir": dict(type=str, help="output directory"),
-    }
-    for name in names:
-        sub.add_argument(f"--{name.replace('_', '-')}", default=None, **spec[name])
-    sub.add_argument("--config", default=None, help="JSON config file")
+_CONSTRUCTION = ("k", "ell", "m", "envelope", "g0", "b", "slab")
+
+# Every subcommand: name -> (handler, help, the options it reads).
+_COMMANDS = {
+    "construct": (
+        _cmd_construct, "sample a constructed potential",
+        (*_CONSTRUCTION, "nx", "ny", "format", "out"),
+    ),
+    "amplitude": (
+        _cmd_amplitude, "tabulate a scattering amplitude",
+        (*_CONSTRUCTION, "side", "method", "thetas", "format", "out"),
+    ),
+    "verify": (
+        _cmd_verify, "transfer-matrix conservation checks",
+        (*_CONSTRUCTION, "grid_n", "slices", "tol", "out"),
+    ),
+    "xfer": (
+        _cmd_xfer, "dump the transfer operator as JSON",
+        (*_CONSTRUCTION, "grid_n", "slices", "out"),
+    ),
+    "power": (
+        _cmd_power, "far-zone and screen power changes",
+        (*_CONSTRUCTION, "thetas", "d", "s", "out"),
+    ),
+    "fig2": (
+        _cmd_fig2, "screen-power benchmark sweep",
+        ("ell", "m", "g0", "b", "slab", "d", "s_max", "samples", "ks", "out_dir"),
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -418,45 +367,27 @@ def build_parser() -> argparse.ArgumentParser:
         description="one-way-invisible potentials: construction, scattering, power",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("construct", help="sample a constructed potential")
-    _add_common(p, "k", "ell", "m", "envelope", "g0", "b", "slab", "nx", "ny", "format", "out")
-    p.set_defaults(func=_cmd_construct)
-
-    p = subs.add_parser("amplitude", help="tabulate a scattering amplitude")
-    _add_common(
-        p, "k", "ell", "m", "envelope", "g0", "b", "slab",
-        "side", "method", "thetas", "format", "out",
-    )
-    p.set_defaults(func=_cmd_amplitude)
-
-    p = subs.add_parser("verify", help="transfer-matrix conservation checks")
-    _add_common(
-        p, "k", "ell", "m", "envelope", "g0", "b", "slab",
-        "grid_n", "slices", "tol", "out",
-    )
-    p.set_defaults(func=_cmd_verify)
-
-    p = subs.add_parser("xfer", help="dump the transfer operator as JSON")
-    _add_common(p, "k", "ell", "m", "envelope", "g0", "b", "slab", "grid_n", "slices", "out")
-    p.set_defaults(func=_cmd_xfer)
-
-    p = subs.add_parser("power", help="far-zone and screen power changes")
-    _add_common(p, "k", "ell", "m", "envelope", "g0", "b", "slab", "thetas", "d", "s", "out")
-    p.set_defaults(func=_cmd_power)
-
-    p = subs.add_parser("fig2", help="screen-power benchmark sweep")
-    _add_common(p, "ell", "m", "g0", "b", "slab", "d", "s_max", "samples", "ks", "out_dir")
-    p.set_defaults(func=_cmd_fig2)
-
+    for command, (_, help_text, names) in _COMMANDS.items():
+        sub = subs.add_parser(command, help=help_text)
+        for name in names:
+            sub.add_argument(
+                f"--{name.replace('_', '-')}", default=None, **_OPTIONS[name][1]
+            )
+        sub.add_argument("--config", default=None, help="JSON config file")
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    # Parsing leaves the parser unchanged, so one instance serves every call.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    handler, _, names = _COMMANDS[args.command]
     try:
-        return args.func(args)
+        return handler(_resolve(args, names))
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

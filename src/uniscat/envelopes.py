@@ -39,7 +39,6 @@ __all__ = [
     "gaussian_envelope",
     "quartic_envelope",
     "tabulated_envelope",
-    "envelope_ft",
 ]
 
 _KINDS = ("gaussian", "quartic", "tabulated")
@@ -228,7 +227,3 @@ def tabulated_envelope(y, values, g0=1.0) -> Envelope:
         samples=(y, values),
     )
 
-
-def envelope_ft(env: Envelope, q):
-    """Module-level alias for :meth:`Envelope.ft` (the op surface)."""
-    return env.ft(q)

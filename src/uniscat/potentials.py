@@ -34,7 +34,6 @@ from scipy.interpolate import RectBivariateSpline
 __all__ = [
     "SeparableTerm",
     "PotentialSpec",
-    "potential_ft",
     "potential_from_samples",
     "random_smooth_potential",
     "sample_potential",
@@ -201,11 +200,6 @@ class PotentialSpec:
         ez = np.exp(-1j * np.multiply.outer(kz, zn)).reshape(-1, zn.size)
         out = np.einsum("ma,mb,mc,abc->m", ex, ey, ez, vw)
         return out.reshape(kx.shape)
-
-
-def potential_ft(v: PotentialSpec, kx, ky, kz=None):
-    """Module-level alias for :meth:`PotentialSpec.ft` (the op surface)."""
-    return v.ft(kx, ky, kz)
 
 
 def potential_from_samples(x, y, values, label="sampled") -> PotentialSpec:

@@ -66,6 +66,7 @@ __all__ = [
     "scattering_coeffs",
     "conserved_current",
     "check_symplectic",
+    "classify",
     "predicates",
     "amplitude_table_from_operator",
     "operator_to_dict",
@@ -295,28 +296,39 @@ def born_operator(v: PotentialSpec, grid: MomentumGrid) -> TransferOperator:
 # extraction
 
 
-def extract_t(op: TransferOperator, side: str, sign: str) -> TransferTable:
-    """T_side_sign on the grid nodes, by linear solves against M22.
+def _incident_solution(op: TransferOperator, side: str):
+    """(B_-, A_+) of the left- or right-incident solution, by M22 solves.
 
-    Left incidence (A_- = delta, B_+ = 0):
-        T^l_- = -M22^{-1} M21 d,      T^l_+ = (M11 - 1) d + M12 T^l_-.
-    Right incidence (A_- = 0, B_+ = delta):
-        T^r_- = M22^{-1} d - d,       T^r_+ = M12 M22^{-1} d.
+    Left incidence (A_- = d, B_+ = 0):
+        B_- = -M22^{-1} M21 d,      A_+ = M11 d + M12 B_-.
+    Right incidence (A_- = 0, B_+ = d):
+        B_- = M22^{-1} d,           A_+ = M12 B_-.
     """
     if side not in ("left", "right"):
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-    if sign not in ("plus", "minus"):
-        raise ValueError(f"sign must be 'plus' or 'minus', got {sign!r}")
     d = delta_vector(op.grid)
     if side == "left":
-        t_minus = -op.solve_m22(op.m21 @ d)
-        if sign == "minus":
-            values = t_minus
-        else:
-            values = (op.m11 @ d - d) + op.m12 @ t_minus
+        b_minus = -op.solve_m22(op.m21 @ d)
+        return b_minus, op.m11 @ d + op.m12 @ b_minus
+    b_minus = op.solve_m22(d)
+    return b_minus, op.m12 @ b_minus
+
+
+def extract_t(op: TransferOperator, side: str, sign: str) -> TransferTable:
+    """T_side_sign on the grid nodes, from the incident solution.
+
+    The incident delta d is subtracted from the mover it rides on:
+        T^l_- = B_-,      T^l_+ = A_+ - d,
+        T^r_- = B_- - d,  T^r_+ = A_+.
+    """
+    if sign not in ("plus", "minus"):
+        raise ValueError(f"sign must be 'plus' or 'minus', got {sign!r}")
+    b_minus, a_plus = _incident_solution(op, side)
+    d = delta_vector(op.grid)
+    if side == "left":
+        values = a_plus - d if sign == "plus" else b_minus
     else:
-        m22_inv_d = op.solve_m22(d)
-        values = (m22_inv_d - d) if sign == "minus" else op.m12 @ m22_inv_d
+        values = a_plus if sign == "plus" else b_minus - d
     return TransferTable(side=side, sign=sign, grid=op.grid, values=values)
 
 
@@ -334,22 +346,13 @@ def scattering_coeffs(op: TransferOperator, side: str):
 
     Returns (coeffs at -inf, coeffs at +inf).
     """
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    b_minus, a_plus = _incident_solution(op, side)
     d = delta_vector(op.grid)
     zero = np.zeros_like(d)
-    if side == "left":
-        b_minus = -op.solve_m22(op.m21 @ d)
-        a_plus = op.m11 @ d + op.m12 @ b_minus
-        return (
-            AsymptoticCoeffs(a=d, b=b_minus, side_limit="minus_inf"),
-            AsymptoticCoeffs(a=a_plus, b=zero, side_limit="plus_inf"),
-        )
-    b_minus = op.solve_m22(d)
-    a_plus = op.m12 @ b_minus
+    a_minus, b_plus = (d, zero) if side == "left" else (zero, d)
     return (
-        AsymptoticCoeffs(a=zero, b=b_minus, side_limit="minus_inf"),
-        AsymptoticCoeffs(a=a_plus, b=d, side_limit="plus_inf"),
+        AsymptoticCoeffs(a=a_minus, b=b_minus, side_limit="minus_inf"),
+        AsymptoticCoeffs(a=a_plus, b=b_plus, side_limit="plus_inf"),
     )
 
 
@@ -406,10 +409,12 @@ def check_symplectic(op: TransferOperator) -> float:
     return float(np.linalg.norm(res) / np.linalg.norm(s))
 
 
-def predicates(op_or_tables, tol: float) -> dict:
-    """Scattering classification flags at tolerance tol.
+def classify(op_or_tables, tol: float) -> dict:
+    """Scattering classification at tolerance tol.
 
-    Accepts a TransferOperator or a mapping with keys 'left_plus',
+    Returns {"sup_norms", "reciprocity_mismatch", "predicates"}: the sup
+    norm of each T-vector, |T^l_+(0) - T^r_-(0)| at the center node, and
+    the flags.  Accepts a TransferOperator or a mapping with keys 'left_plus',
     'left_minus', 'right_plus', 'right_minus' (TransferTables or plain
     complex arrays indexed like the grid).  Each side flag holds iff the
     relevant T-vector's sup norm is <= tol times the largest of the four
@@ -446,7 +451,12 @@ def predicates(op_or_tables, tol: float) -> dict:
     flags["right_invisible"] = (
         flags["right_reflectionless"] and flags["right_transparent"]
     )
-    return flags
+    return {"sup_norms": sup, "reciprocity_mismatch": recip, "predicates": flags}
+
+
+def predicates(op_or_tables, tol: float) -> dict:
+    """Scattering classification flags at tolerance tol; see :func:`classify`."""
+    return classify(op_or_tables, tol)["predicates"]
 
 
 def amplitude_table_from_operator(op: TransferOperator, side: str) -> AmplitudeTable:

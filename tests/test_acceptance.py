@@ -40,7 +40,6 @@ from uniscat import (
     check_symplectic,
     closed_form_t_left,
     constructed_ft_2d,
-    envelope_ft,
     evolve_transfer,
     extract_t,
     fig2_curves,
@@ -464,7 +463,7 @@ def test_criterion_10_fourier_transform_oracles(report):
     q = rng.uniform(-30.0, 30.0, 100)
     for kind, make in (("gaussian", gaussian_envelope), ("quartic", quartic_envelope)):
         env = make(1e-2, 1.0)
-        a = envelope_ft(env, q)
+        a = env.ft(q)
         b = _envelope_ft_quadrature(env, q)
         worsts[kind] = float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
 

@@ -7,7 +7,16 @@ import json
 import numpy as np
 import pytest
 
-from uniscat import closed_form_f_left
+from uniscat import (
+    ConstructionParams,
+    WaveContext,
+    build_potential_2d,
+    classify,
+    closed_form_f_left,
+    evolve_transfer,
+    gauss_grid,
+    quartic_envelope,
+)
 from uniscat.cli import main, parse_k, read_table
 
 
@@ -105,6 +114,21 @@ def test_verify_report(tmp_path):
     j0 = complex(*report["current_minus_inf"])
     j1 = complex(*report["current_plus_inf"])
     assert abs(j0 - j1) < 1e-8 * max(1.0, abs(j0))
+    # the report's classification is the library's, for the same operator
+    cfg = report["config"]
+    params = ConstructionParams(
+        ell=cfg["ell"],
+        m=cfg["m"],
+        envelope=quartic_envelope(cfg["g0"], cfg["b"]),
+        ctx=WaveContext(k=cfg["k"]),
+        slab=cfg["slab"],
+    )
+    op = evolve_transfer(
+        build_potential_2d(params), gauss_grid(21, params.ctx), slices=100
+    )
+    want = classify(op, cfg["tol"])
+    for key in ("sup_norms", "reciprocity_mismatch", "predicates"):
+        assert report[key] == want[key]
 
 
 def test_xfer_dump(tmp_path):

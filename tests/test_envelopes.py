@@ -13,7 +13,6 @@ from numpy.polynomial.legendre import leggauss
 
 from uniscat import (
     Envelope,
-    envelope_ft,
     gaussian_envelope,
     quartic_envelope,
     tabulated_envelope,
@@ -124,12 +123,6 @@ def test_tabulated_ft_matches_quadrature_of_the_spline():
     got = env.ft(q)
     want = _ft_quadrature(env, q, n=500)
     assert np.max(np.abs(got - want)) < 1e-9
-
-
-def test_envelope_ft_alias():
-    env = quartic_envelope(1.0, 1.0)
-    q = np.linspace(-3, 3, 7)
-    assert np.array_equal(envelope_ft(env, q), env.ft(q))
 
 
 def test_envelope_validation():

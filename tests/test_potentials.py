@@ -10,7 +10,6 @@ from uniscat import (
     PotentialSpec,
     SeparableTerm,
     potential_from_samples,
-    potential_ft,
     random_smooth_potential,
     sample_potential,
 )
@@ -108,11 +107,6 @@ def test_sampled_copy_reproduces_the_transform():
 def test_potential_from_samples_validates_shape():
     with pytest.raises(ValueError):
         potential_from_samples(np.linspace(0, 1, 5), np.linspace(0, 1, 6), np.zeros((6, 5)))
-
-
-def test_potential_ft_alias():
-    v = random_smooth_potential(1)
-    assert potential_ft(v, 1.0, 2.0) == v.ft(1.0, 2.0)
 
 
 def test_dimension_guards():
