@@ -307,25 +307,6 @@ def series_ft_2d(params: ConstructionParams, kx, ky):
     return out if np.ndim(out) else complex(out)
 
 
-def _coeff_value(params: ConstructionParams, n: int, y):
-    """Real-space harmonic coefficient c_n(y) (inverse transform of ct_n)."""
-    env = params._env1d()
-    ell, m, K, k = params.ell, params.m, params.K, params.ctx.k
-    if n == 0:
-        return -env.second_derivative(y)
-    if n == ell:
-        return (
-            m * (ell * K * (ell * K - 2.0 * k) * env.value(y) - env.second_derivative(y))
-            / (ell - m)
-        )
-    if n == m:
-        return (
-            ell * (m * K * (m * K - 2.0 * k) * env.value(y) - env.second_derivative(y))
-            / (m - ell)
-        )
-    raise ValueError(f"harmonic {n} is not active")
-
-
 def build_potential_2d(params: ConstructionParams) -> PotentialSpec:
     """Bundle the 2D construction into a PotentialSpec.
 
@@ -346,13 +327,10 @@ def build_potential_2d(params: ConstructionParams) -> PotentialSpec:
                 (x >= 0.0) & (x <= a), np.exp(1j * n * K * x), 0.0
             )
 
-        def fy(y, n=n):
-            return _coeff_value(params, n, y)
-
         def fy_ft(q, n=n):
             return fourier_coeff_ft(params, n, q)
 
-        terms.append(SeparableTerm(fx=fx, fy=fy, fy_ft=fy_ft))
+        terms.append(SeparableTerm(fx=fx, fy_ft=fy_ft))
 
     g0 = env.g0
     return PotentialSpec(

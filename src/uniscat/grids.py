@@ -100,7 +100,7 @@ class MomentumGrid:
 
     @cached_property
     def omegas(self) -> np.ndarray:
-        return np.sqrt(self.ctx.k**2 - self.nodes**2)
+        return omega(self.nodes, self.ctx)
 
     def reversal(self) -> np.ndarray:
         """Index permutation realizing p -> -p (plain order reversal)."""

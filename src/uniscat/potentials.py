@@ -15,10 +15,14 @@ forms are attached where they exist (the one-way-invisible construction in
 to Gauss-Legendre quadrature over the support at a resolution far beyond the
 phase content of any argument this package produces (|K| <= a few times k).
 
-Potentials that are finite sums of separable terms f_x(x) f_y(y) with
-analytic transverse transforms declare them as ``terms``; the transfer-matrix
-kernel assembly then costs a few scalar products per slice instead of a
-quadrature, which is what keeps dense parameter scans cheap.
+One factorization vtld(x, q) = sum_t fy_t(q) fx_t(x) defines every 2D
+transverse transform: ``ft_y``, the quadrature ``ft`` and the transfer-matrix
+kernel.  Potentials that are finite sums of separable terms f_x(x) f_y(y)
+with analytic transverse transforms declare them as ``terms`` (fx_t = f_x,
+fy_t = the transform of f_y), so the kernel costs a few scalar products per
+slice instead of a quadrature, which is what keeps dense parameter scans
+cheap; otherwise each y-quadrature node y_j is one term, with
+fy_j(q) = exp(-i q y_j) and fx_j(x) = w_j v(x, y_j).
 """
 
 from __future__ import annotations
@@ -41,13 +45,14 @@ __all__ = [
 
 
 class SeparableTerm(NamedTuple):
-    """One product contribution f_x(x) * f_y(y), with the y-transform attached.
+    """One product contribution f_x(x) * f_y(y), as the pair (fx, fy_ft).
 
-    All three callables must accept numpy arrays elementwise.
+    fy_ft is the transverse transform of f_y; f_y itself is carried only by
+    the potential's value function.  Both callables must accept numpy arrays
+    elementwise.
     """
 
     fx: Callable
-    fy: Callable
     fy_ft: Callable
 
 
@@ -124,8 +129,6 @@ class PotentialSpec:
             kx, ky = np.broadcast_arrays(np.asarray(kx, float), np.asarray(ky, float))
             if self.ft_fn is not None:
                 out = np.asarray(self.ft_fn(kx, ky), dtype=complex)
-            elif self.terms is not None:
-                out = self._ft_from_terms(kx, ky)
             else:
                 out = self._ft_quad_2d(kx, ky)
         else:
@@ -145,47 +148,58 @@ class PotentialSpec:
 
         x is a scalar, q a scalar or array.  2D only.
         """
+        out = self._transverse_transform(q)(float(x))
+        return out if out.ndim else complex(out)
+
+    def _transverse_factors(self, q):
+        """(fy, fx) with vtld(x, q) = fy @ fx(x); see the module docstring.
+
+        fy has the shape of q plus a trailing term axis; fx(x) appends the
+        term axis to the shape of x and is not support-checked.
+        """
         if self.dim != 2:
             raise ValueError("transverse transform is defined for 2D potentials")
-        x = float(x)
         q = np.asarray(q, dtype=float)
-        x0, x1 = self.x_support
-        if x < x0 or x > x1:
-            return np.zeros(q.shape, dtype=complex) if q.ndim else 0.0j
         if self.terms is not None:
-            out = np.zeros(q.shape, dtype=complex)
-            for t in self.terms:
-                out = out + np.asarray(t.fx(x)) * np.asarray(t.fy_ft(q), dtype=complex)
+            fy = np.stack([t.fy_ft(q) for t in self.terms], -1).astype(complex)
+
+            def fx(x):
+                return np.stack([t.fx(x) for t in self.terms], -1)
+
         else:
             yn, wn = _gl_rule(self.quad_nodes, *map(float, self.y_support))
-            vals = self.value(np.full(yn.shape, x), yn)
-            out = np.exp(-1j * np.multiply.outer(q, yn)) @ (wn * vals)
-        return out if out.ndim else complex(out)
+            fy = np.exp(-1j * np.multiply.outer(q, yn))
+
+            def fx(x):
+                return wn * self.value(np.asarray(x, dtype=float)[..., None], yn)
+
+        return fy, fx
+
+    def _transverse_transform(self, q):
+        """x -> vtld(x, q) at fixed q, zero outside the x-support."""
+        fy, fx = self._transverse_factors(q)
+        shape, fy = fy.shape[:-1], fy.reshape(-1, fy.shape[-1])  # one gemv per x
+        x0, x1 = self.x_support
+
+        def vtld(x):
+            if x < x0 or x > x1:
+                return np.zeros(shape, dtype=complex)
+            return (fy @ fx(x)).reshape(shape)
+
+        return vtld
 
     # -- quadrature fallbacks -------------------------------------------
 
-    def _ft_from_terms(self, kx, ky):
-        xn, wn = _gl_rule(self.quad_nodes, *map(float, self.x_support))
-        ex = np.exp(-1j * np.multiply.outer(kx, xn))
-        out = np.zeros(kx.shape, dtype=complex)
-        for t in self.terms:
-            xint = ex @ (wn * np.asarray(t.fx(xn), dtype=complex))
-            out = out + xint * np.asarray(t.fy_ft(ky), dtype=complex)
-        return out
-
     def _ft_quad_2d(self, kx, ky):
+        """sum_t fy_t(Ky) * integral dx exp(-i Kx x) fx_t(x), by x-quadrature."""
         xn, wx = _gl_rule(self.quad_nodes, *map(float, self.x_support))
-        yn, wy = _gl_rule(self.quad_nodes, *map(float, self.y_support))
-        vw = self.value(xn[:, None], yn[None, :]) * wx[:, None] * wy[None, :]
+        fy, fx = self._transverse_factors(ky)
         ex = np.exp(-1j * np.multiply.outer(kx, xn))
-        ey = np.exp(-1j * np.multiply.outer(ky, yn))
-        flat_ex = ex.reshape(-1, xn.size)
-        flat_ey = ey.reshape(-1, yn.size)
-        out = np.einsum("ma,ab,mb->m", flat_ex, vw, flat_ey)
-        return out.reshape(kx.shape)
+        fxt = ex @ (wx[:, None] * fx(xn))
+        return np.sum(fy * fxt, axis=-1)
 
-    def _ft_quad_3d(self, kx, ky, kz, n=None):
-        n = n or max(48, self.quad_nodes // 2)
+    def _ft_quad_3d(self, kx, ky, kz):
+        n = max(48, self.quad_nodes // 2)
         xn, wx = _gl_rule(n, *map(float, self.x_support))
         yn, wy = _gl_rule(n, *map(float, self.y_support))
         zn, wz = _gl_rule(n, *map(float, self.z_support))
@@ -245,7 +259,7 @@ def random_smooth_potential(
     """
     rng = np.random.default_rng(seed)
     L = float(x_length)
-    terms = []
+    terms, profiles = [], []
     y_lo, y_hi = np.inf, -np.inf
     for _ in range(int(n_terms)):
         z = amplitude * (rng.uniform(0.3, 1.0) * np.exp(2j * np.pi * rng.uniform()))
@@ -274,12 +288,13 @@ def random_smooth_potential(
                 * np.exp(-1j * (q - qy) * mu - sigma**2 * (q - qy) ** 2 / 2.0)
             )
 
-        terms.append(SeparableTerm(fx=fx, fy=fy, fy_ft=fy_ft))
+        terms.append(SeparableTerm(fx=fx, fy_ft=fy_ft))
+        profiles.append(fy)
 
     def value_fn(x, y):
         out = np.zeros(np.broadcast(x, y).shape, dtype=complex)
-        for t in terms:
-            out = out + np.asarray(t.fx(x)) * np.asarray(t.fy(y))
+        for t, fy in zip(terms, profiles):
+            out = out + np.asarray(t.fx(x)) * np.asarray(fy(y))
         return out
 
     return PotentialSpec(

@@ -169,42 +169,12 @@ class _Assembler:
     def __init__(self, v: PotentialSpec, grid: MomentumGrid):
         if v.dim != 2:
             raise ValueError("the transfer matrix evolution is 2D only")
-        self.v = v
-        self.grid = grid
         p = grid.nodes
         self.delta = p[:, None] - p[None, :]
         # x-independent kernel scale: w_l / (2 pi * 2 omega_j)
         self.scale = grid.weights[None, :] / (4.0 * np.pi * grid.omegas[:, None])
         self.omegas = grid.omegas
-        if v.terms is not None:
-            self._coeff_mats = [
-                np.asarray(t.fy_ft(self.delta), dtype=complex) for t in v.terms
-            ]
-            self._term_fx = [t.fx for t in v.terms]
-            self._quad = None
-        else:
-            n_y = max(128, v.quad_nodes)
-            from numpy.polynomial.legendre import leggauss
-
-            xq, wq = leggauss(n_y)
-            y0, y1 = map(float, v.y_support)
-            yn = y0 + 0.5 * (y1 - y0) * (xq + 1.0)
-            wn = 0.5 * (y1 - y0) * wq
-            phase = np.exp(-1j * np.multiply.outer(self.delta.ravel(), yn))
-            self._quad = (yn, wn, phase)
-
-    def vtilde(self, x: float) -> np.ndarray:
-        if self._quad is None:
-            out = np.zeros(self.delta.shape, dtype=complex)
-            for fx, cmat in zip(self._term_fx, self._coeff_mats):
-                out = out + complex(fx(x)) * cmat
-            return out
-        yn, wn, phase = self._quad
-        x0, x1 = self.v.x_support
-        if x < x0 or x > x1:
-            return np.zeros(self.delta.shape, dtype=complex)
-        vals = self.v.value(np.full(yn.shape, x), yn)
-        return (phase @ (wn * vals)).reshape(self.delta.shape)
+        self.vtilde = v._transverse_transform(self.delta)
 
     def generator(self, x: float) -> np.ndarray:
         """-i H(x) as a dense 2N x 2N matrix."""
@@ -421,6 +391,11 @@ def classify(op_or_tables, tol: float) -> dict:
     sup norms; reciprocal transmission compares the two forward values
     T^l_+(0) and T^r_-(0) at the center node, which the conserved current
     forces to agree for every potential.
+
+    The reciprocity mismatch has an absolute roundoff floor of about 1e-15
+    to 1e-14 from subtracting the incident delta |d(0)| = 2 pi / w_center, so
+    a tol below that floor divided by the largest sup norm makes
+    reciprocal_transmission read false from roundoff alone.
     """
     if isinstance(op_or_tables, TransferOperator):
         tables = transfer_tables(op_or_tables)

@@ -371,21 +371,28 @@ def test_criterion_08ii_screen_power_large_width_sign(report):
 def test_criterion_08iii_screen_power_adaptive_vs_oracle(report):
     t0 = time.time()
     s_values, curves = _fig2_sweep()
-    worst = 0.0
+    # each curve's worst gap is bounded relative to that curve's own max |dP|
+    # (~1e-6), since an absolute bound of that size passes any answer of
+    # the right magnitude
+    gaps = []
     for curve in curves:
         params = _construction(-1, 1, "quartic", curve.k)
         oracle = np.array(
             [screen_power_oracle(params, ScreenSpec(d=100.0, s=s)) for s in s_values]
         )
-        worst = max(worst, float(np.max(np.abs(curve.values - oracle))))
+        gaps.append((
+            float(np.max(np.abs(curve.values - oracle))),
+            float(np.max(np.abs(curve.values))),
+        ))
+    worst, peak = max(gaps, key=lambda g: g[0] / g[1])
     dt = time.time() - t0
-    ok = worst <= 1e-6 and dt < 300.0
+    ok = worst <= 1e-9 * peak and dt < 300.0
     report(
         "8iii", ok,
-        f"adaptive vs fixed-order quadrature {worst:.2e} <= 1e-6 abs on 1600 "
-        f"samples ({dt:.1f}s)",
+        f"adaptive vs fixed-order quadrature {worst:.2e} <= 1e-9 x max|dP| "
+        f"{peak:.2e} on 1600 samples ({dt:.1f}s)",
     )
-    assert worst <= 1e-6
+    assert worst <= 1e-9 * peak
     assert dt < 300.0
 
 

@@ -158,5 +158,5 @@ def test_sample_potential_layout():
 
 
 def test_term_container_is_lightweight():
-    t = SeparableTerm(fx=np.cos, fy=np.sin, fy_ft=np.exp)
-    assert t.fx is np.cos and t.fy is np.sin and t.fy_ft is np.exp
+    t = SeparableTerm(fx=np.cos, fy_ft=np.exp)
+    assert t.fx is np.cos and t.fy_ft is np.exp

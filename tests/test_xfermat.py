@@ -95,6 +95,30 @@ def test_hamiltonian_vanishes_off_the_support():
     assert np.all(effective_hamiltonian(v, grid, 1.3) == 0.0)
 
 
+def test_kernel_is_the_public_transverse_transform():
+    # h11 = e^{-i w_j x} vtld(x, p_j - p_l) w_l / (4 pi w_j) e^{+i w_l x}: with
+    # the phases and the scale divided out, the generator's kernel must be
+    # ft_y itself, on the separable-terms route and on the y-quadrature route
+    v = random_smooth_potential(7)
+    vq = PotentialSpec(
+        kind="custom2d",
+        x_support=v.x_support,
+        y_support=v.y_support,
+        value_fn=v.value_fn,
+        quad_nodes=64,
+    )
+    grid = gauss_grid(15, CTX)
+    n, p, w = grid.n, grid.nodes, grid.omegas
+    scale = grid.weights[None, :] / (4.0 * np.pi * w[:, None])
+    for pot in (v, vq):
+        for x in (0.21, 0.64):
+            h11 = effective_hamiltonian(pot, grid, x)[:n, :n]
+            phases = np.exp(-1j * w * x)[:, None] * np.exp(1j * w * x)[None, :]
+            got = h11 / (phases * scale)
+            want = pot.ft_y(x, p[:, None] - p[None, :])
+            assert np.max(np.abs(got - want)) < 1e-14 * np.max(np.abs(want))
+
+
 def test_generator_is_exactly_infinitesimally_symplectic():
     # S H + H^T S = 0 holds at the matrix level for any potential, so the
     # residual of the evolved operator is purely integrator error
@@ -245,7 +269,6 @@ def test_integration_error_on_non_finite_values():
         terms=(
             SeparableTerm(
                 fx=lambda x: np.full(np.shape(x), np.nan),
-                fy=lambda y: np.ones(np.shape(y)),
                 fy_ft=lambda q: np.ones(np.shape(q), dtype=complex),
             ),
         ),
