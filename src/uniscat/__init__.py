@@ -11,147 +11,24 @@ The package splits along the physics pipeline:
   laws, and scattering classification,
 * :mod:`uniscat.empower` for power observables and the screen benchmark,
 * :mod:`uniscat.cli` for the command-line front end.
+
+Each module's ``__all__`` is its one export list; the package re-exports
+those of every module but the command-line front end.
 """
 
-from .born import (
-    AmplitudeTable,
-    TransferTable,
-    amplitude_from_t,
-    amplitude_table,
-    born_f_2d,
-    born_f_3d,
-    born_t_2d,
-    born_t_3d,
-    born_t_values,
-    closed_form_f_left,
-    closed_form_t_left,
-)
-from .construct import (
-    ConstructionParams,
-    build_potential_2d,
-    build_potential_3d,
-    constructed_ft_2d,
-    constructed_ft_3d,
-    fourier_coeff_ft,
-    phase_over_offset,
-    potential_value_2d,
-    potential_value_3d,
-    series_ft_2d,
-)
-from .empower import (
-    EXTINCTION_FACTOR,
-    PowerCurve,
-    PowerSummary,
-    ScreenSpec,
-    SparseArcWarning,
-    delta_u_S,
-    fig2_curves,
-    screen_power,
-    screen_power_oracle,
-    total_power_changes,
-    xi,
-)
-from .envelopes import (
-    Envelope,
-    gaussian_envelope,
-    quartic_envelope,
-    tabulated_envelope,
-)
-from .grids import MomentumGrid, WaveContext, delta_vector, gauss_grid, omega, p_plus_minus
-from .potentials import (
-    PotentialSpec,
-    SeparableTerm,
-    potential_from_samples,
-    random_smooth_potential,
-    sample_potential,
-)
-from .xfermat import (
-    AsymptoticCoeffs,
-    CurrentSample,
-    IntegrationError,
-    SpectralSingularityWarning,
-    TransferOperator,
-    amplitude_table_from_operator,
-    born_operator,
-    check_symplectic,
-    classify,
-    conserved_current,
-    default_slices,
-    effective_hamiltonian,
-    evolve_transfer,
-    extract_t,
-    operator_to_dict,
-    predicates,
-    scattering_coeffs,
-    transfer_tables,
-)
+from . import born, construct, empower, envelopes, grids, potentials, xfermat
+from .born import *  # noqa: F401,F403
+from .construct import *  # noqa: F401,F403
+from .empower import *  # noqa: F401,F403
+from .envelopes import *  # noqa: F401,F403
+from .grids import *  # noqa: F401,F403
+from .potentials import *  # noqa: F401,F403
+from .xfermat import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmplitudeTable",
-    "AsymptoticCoeffs",
-    "ConstructionParams",
-    "CurrentSample",
-    "EXTINCTION_FACTOR",
-    "Envelope",
-    "IntegrationError",
-    "MomentumGrid",
-    "PotentialSpec",
-    "PowerCurve",
-    "PowerSummary",
-    "ScreenSpec",
-    "SeparableTerm",
-    "SparseArcWarning",
-    "SpectralSingularityWarning",
-    "TransferOperator",
-    "TransferTable",
-    "WaveContext",
-    "amplitude_from_t",
-    "amplitude_table",
-    "amplitude_table_from_operator",
-    "born_f_2d",
-    "born_f_3d",
-    "born_operator",
-    "born_t_2d",
-    "born_t_3d",
-    "born_t_values",
-    "build_potential_2d",
-    "build_potential_3d",
-    "check_symplectic",
-    "classify",
-    "closed_form_f_left",
-    "closed_form_t_left",
-    "conserved_current",
-    "constructed_ft_2d",
-    "constructed_ft_3d",
-    "default_slices",
-    "delta_u_S",
-    "delta_vector",
-    "effective_hamiltonian",
-    "evolve_transfer",
-    "extract_t",
-    "fig2_curves",
-    "fourier_coeff_ft",
-    "gauss_grid",
-    "gaussian_envelope",
-    "omega",
-    "operator_to_dict",
-    "p_plus_minus",
-    "phase_over_offset",
-    "potential_from_samples",
-    "potential_value_2d",
-    "potential_value_3d",
-    "predicates",
-    "quartic_envelope",
-    "random_smooth_potential",
-    "sample_potential",
-    "scattering_coeffs",
-    "screen_power",
-    "screen_power_oracle",
-    "series_ft_2d",
-    "tabulated_envelope",
-    "total_power_changes",
-    "transfer_tables",
-    "xi",
+    name
+    for module in (born, construct, empower, envelopes, grids, potentials, xfermat)
+    for name in module.__all__
 ]

@@ -47,7 +47,6 @@ from .potentials import PotentialSpec
 
 __all__ = [
     "GRAZING_MARGIN",
-    "TransferTable",
     "AmplitudeTable",
     "born_t_values",
     "born_t_2d",
@@ -339,9 +338,6 @@ def amplitude_table(
 def _ctx_of(v: PotentialSpec) -> WaveContext:
     if isinstance(v.params, ConstructionParams):
         return v.params.ctx
-    ctx = getattr(v, "ctx", None)
-    if ctx is not None:
-        return ctx
     raise ValueError(
         "this potential carries no wavenumber; pass ctx explicitly"
     )

@@ -28,7 +28,7 @@ from .construct import ConstructionParams, build_potential_2d
 from .empower import ScreenSpec, fig2_curves, screen_power, total_power_changes
 from .envelopes import gaussian_envelope, quartic_envelope
 from .grids import WaveContext, gauss_grid
-from .potentials import PotentialSpec
+from .potentials import PotentialSpec, sample_potential
 from .xfermat import (
     IntegrationError,
     check_symplectic,
@@ -185,13 +185,9 @@ def _potential(cfg) -> PotentialSpec:
 
 
 def _cmd_construct(cfg) -> int:
-    v = _potential(cfg)
-    x0, x1 = v.x_support
-    y0, y1 = v.y_support
-    xs = np.linspace(x0, x1, int(cfg["nx"]))
-    ys = np.linspace(y0, y1, int(cfg["ny"]))
+    xs, ys, vals = sample_potential(_potential(cfg), cfg["nx"], cfg["ny"])
     xg, yg = np.meshgrid(xs, ys, indexing="ij")
-    vals = v.value(xg.ravel(), yg.ravel())
+    vals = vals.ravel()
     rows = np.column_stack([xg.ravel(), yg.ravel(), vals.real, vals.imag])
     _write_table(cfg["out"], cfg, ("x", "y", "re_v", "im_v"), rows, cfg["format"])
     return 0

@@ -243,22 +243,22 @@ def _pole_free_ratio(params: ConstructionParams, kx):
     return out[0] if scalar else out
 
 
+def _closed_form_ft(params: ConstructionParams, psq, gt, kax):
+    """-i l m K^2 (|p|^2 + (Kax - 2k) Kax) gt ratio, the closed-form
+    transform of both dimensions: psq is the squared transverse frequency
+    |p|^2, gt the envelope transform at it, kax the frequency along the
+    scattering axis and ratio :func:`_pole_free_ratio` at kax."""
+    ell, m, K, k = params.ell, params.m, params.K, params.ctx.k
+    bracket = psq + (kax - 2.0 * k) * kax
+    out = -1j * ell * m * K**2 * bracket * gt * _pole_free_ratio(params, kax)
+    return out if np.ndim(out) else complex(out)
+
+
 def constructed_ft_2d(params: ConstructionParams, kx, ky):
     """Closed-form full transform vtt(Kx, Ky) of the 2D construction."""
     env = params._env1d()
     kx, ky = np.broadcast_arrays(np.asarray(kx, float), np.asarray(ky, float))
-    ell, m, K, k = params.ell, params.m, params.K, params.ctx.k
-    bracket = ky**2 + (kx - 2.0 * k) * kx
-    out = (
-        -1j
-        * ell
-        * m
-        * K**2
-        * bracket
-        * env.ft(ky)
-        * _pole_free_ratio(params, kx)
-    )
-    return out if np.ndim(out) else complex(out)
+    return _closed_form_ft(params, ky**2, env.ft(ky), kx)
 
 
 def constructed_ft_3d(params: ConstructionParams, px, py, kz):
@@ -273,19 +273,7 @@ def constructed_ft_3d(params: ConstructionParams, px, py, kz):
     px, py, kz = np.broadcast_arrays(
         np.asarray(px, float), np.asarray(py, float), np.asarray(kz, float)
     )
-    ell, m, K, k = params.ell, params.m, params.K, params.ctx.k
-    bracket = px**2 + py**2 + (kz - 2.0 * k) * kz
-    out = (
-        -1j
-        * ell
-        * m
-        * K**2
-        * bracket
-        * envx.ft(px)
-        * envy.ft(py)
-        * _pole_free_ratio(params, kz)
-    )
-    return out if np.ndim(out) else complex(out)
+    return _closed_form_ft(params, px**2 + py**2, envx.ft(px) * envy.ft(py), kz)
 
 
 def series_ft_2d(params: ConstructionParams, kx, ky):
@@ -334,7 +322,6 @@ def build_potential_2d(params: ConstructionParams) -> PotentialSpec:
 
     g0 = env.g0
     return PotentialSpec(
-        kind="constructed2d",
         x_support=(0.0, a),
         y_support=env.support,
         value_fn=lambda x, y: potential_value_2d(params, x, y),
@@ -354,7 +341,6 @@ def build_potential_3d(params: ConstructionParams) -> PotentialSpec:
         raise ValueError("3D construction needs a pair of transverse envelopes")
     envx, envy = params.envelope
     return PotentialSpec(
-        kind="constructed3d",
         x_support=envx.support,
         y_support=envy.support,
         z_support=(0.0, params.slab),

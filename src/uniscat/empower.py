@@ -42,6 +42,7 @@ from .envelopes import quartic_envelope
 from .grids import WaveContext
 
 __all__ = [
+    "EXTINCTION_FACTOR",
     "ScreenSpec",
     "PowerSummary",
     "PowerCurve",
@@ -55,6 +56,13 @@ __all__ = [
 ]
 
 EXTINCTION_FACTOR = float(np.sqrt(8.0 * np.pi))
+
+# screen_power refines until its error estimate is below SCREEN_ABS_TOL * s,
+# for at most SCREEN_MAX_DEPTH bisection rounds.
+SCREEN_ABS_TOL = 1e-10
+SCREEN_MAX_DEPTH = 16
+# Gauss-Legendre nodes on each panel of screen_power_oracle.
+ORACLE_NODES_PER_PANEL = 24
 
 # 15-point Kronrod extension of 7-point Gauss (positive half, QUADPACK dqk15).
 _XGK_HALF = np.array(
@@ -253,21 +261,22 @@ def _gk_panels(fn_y, lo, hi):
     return k15, np.abs(k15 - g7)
 
 
-def screen_power(source, screen: ScreenSpec, abs_tol: float = 1e-10, max_depth: int = 16) -> float:
+def screen_power(source, screen: ScreenSpec) -> float:
     """Normalized screen power change dP_screen(s), adaptively integrated.
 
     Panels start at pi/4 phase increments and are bisected wherever the
     embedded Gauss rule disagrees with the Kronrod one, until the summed
-    error estimate of the y-integral drops below abs_tol * s (so the result
-    itself is good to about abs_tol).
+    error estimate of the y-integral drops below SCREEN_ABS_TOL * s (so the
+    result itself is good to about SCREEN_ABS_TOL); after SCREEN_MAX_DEPTH
+    rounds it warns and returns what it has.
     """
     fn, ctx = _resolve_amplitude(source)
     integrand = _screen_integrand(fn, ctx.k, screen.d)
     edges = _phase_cut_edges(ctx.k, screen.d, screen.s)
     lo, hi = edges[:-1], edges[1:]
     total, err = _gk_panels(integrand, lo, hi)
-    budget = abs_tol * screen.s
-    for _ in range(max_depth):
+    budget = SCREEN_ABS_TOL * screen.s
+    for _ in range(SCREEN_MAX_DEPTH):
         if float(np.sum(err)) <= budget:
             break
         worst = err > (budget / max(1, 2 * err.size))
@@ -282,18 +291,19 @@ def screen_power(source, screen: ScreenSpec, abs_tol: float = 1e-10, max_depth: 
     else:
         warnings.warn(
             f"screen integral error estimate {float(np.sum(err)):.3g} still "
-            f"above budget {budget:.3g} after {max_depth} refinement rounds",
+            f"above budget {budget:.3g} after {SCREEN_MAX_DEPTH} refinement rounds",
             UserWarning,
             stacklevel=2,
         )
     return float(np.sum(total) / screen.s)
 
 
-def screen_power_oracle(source, screen: ScreenSpec, nodes_per_panel: int = 24) -> float:
+def screen_power_oracle(source, screen: ScreenSpec) -> float:
     """Non-adaptive composite Gauss-Legendre route to dP_screen.
 
-    Uniform panels sized to at most a pi/2 phase step, a fixed-order rule on
-    each; independent of the Kronrod machinery in :func:`screen_power`.
+    Uniform panels sized to at most a pi/2 phase step, an
+    ORACLE_NODES_PER_PANEL-point rule on each; independent of the Kronrod
+    machinery in :func:`screen_power`.
     """
     from numpy.polynomial.legendre import leggauss
 
@@ -303,7 +313,7 @@ def screen_power_oracle(source, screen: ScreenSpec, nodes_per_panel: int = 24) -
     phi_max = ctx.k * (np.hypot(screen.d, half) - screen.d)
     n_panels = max(8, int(np.ceil(phi_max / (np.pi / 2.0))) * 2)
     edges = np.linspace(-half, half, n_panels + 1)
-    xq, wq = leggauss(nodes_per_panel)
+    xq, wq = leggauss(ORACLE_NODES_PER_PANEL)
     mid = 0.5 * (edges[:-1] + edges[1:])
     rad = 0.5 * np.diff(edges)
     ys = mid[:, None] + rad[:, None] * xq[None, :]

@@ -56,6 +56,10 @@ class SeparableTerm(NamedTuple):
     fy_ft: Callable
 
 
+# Separable terms in every random_smooth_potential.
+RANDOM_TERMS = 3
+
+
 @lru_cache(maxsize=64)
 def _gl_rule(n: int, a: float, b: float):
     x, w = leggauss(n)
@@ -67,10 +71,12 @@ def _gl_rule(n: int, a: float, b: float):
 class PotentialSpec:
     """A complex potential with rectangular (2D) or box (3D) support.
 
+    ``value(*xyz)`` and ``ft(*ks)`` take exactly ``dim`` arguments (x, y
+    or x, y, z; Kx, Ky or Kx, Ky, Kz), raise ValueError on any other count,
+    and broadcast them against each other.
+
     Attributes
     ----------
-    kind : str
-        "constructed2d", "constructed3d" or "custom2d".
     x_support, y_support : (float, float)
         Support intervals; the potential vanishes outside.
     z_support : (float, float) or None
@@ -82,12 +88,11 @@ class PotentialSpec:
     terms : tuple of SeparableTerm or None
         Separable decomposition for fast transverse transforms (2D only).
     params : object or None
-        Construction parameters when kind is constructed*.
+        Construction parameters of a constructed potential.
     label : str
         Short identifier used in exported metadata.
     """
 
-    kind: str
     x_support: tuple
     y_support: tuple
     value_fn: Callable
@@ -102,45 +107,32 @@ class PotentialSpec:
     def dim(self) -> int:
         return 2 if self.z_support is None else 3
 
+    def _args(self, args):
+        """The query arguments as float arrays broadcast together, after
+        checking that there is one per dimension."""
+        if len(args) != self.dim:
+            raise ValueError(
+                f"{self.dim}D potential takes {self.dim} arguments, got {len(args)}"
+            )
+        return np.broadcast_arrays(*(np.asarray(a, float) for a in args))
+
     # -- values ---------------------------------------------------------
 
-    def value(self, x, y, z=None):
-        if self.dim == 2:
-            if z is not None:
-                raise ValueError("2D potential takes no z argument")
-            x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
-            out = np.asarray(self.value_fn(x, y), dtype=complex)
-        else:
-            if z is None:
-                raise ValueError("3D potential needs a z argument")
-            x, y, z = np.broadcast_arrays(
-                np.asarray(x, float), np.asarray(y, float), np.asarray(z, float)
-            )
-            out = np.asarray(self.value_fn(x, y, z), dtype=complex)
+    def value(self, *xyz):
+        out = np.asarray(self.value_fn(*self._args(xyz)), dtype=complex)
         return out if out.ndim else complex(out)
 
     # -- Fourier transforms ---------------------------------------------
 
-    def ft(self, kx, ky, kz=None):
+    def ft(self, *ks):
         """Full Fourier transform at paired arguments (broadcast elementwise)."""
-        if self.dim == 2:
-            if kz is not None:
-                raise ValueError("2D potential takes no Kz argument")
-            kx, ky = np.broadcast_arrays(np.asarray(kx, float), np.asarray(ky, float))
-            if self.ft_fn is not None:
-                out = np.asarray(self.ft_fn(kx, ky), dtype=complex)
-            else:
-                out = self._ft_quad_2d(kx, ky)
+        ks = self._args(ks)
+        if self.ft_fn is not None:
+            out = np.asarray(self.ft_fn(*ks), dtype=complex)
+        elif self.dim == 2:
+            out = self._ft_quad_2d(*ks)
         else:
-            if kz is None:
-                raise ValueError("3D potential needs a Kz argument")
-            kx, ky, kz = np.broadcast_arrays(
-                np.asarray(kx, float), np.asarray(ky, float), np.asarray(kz, float)
-            )
-            if self.ft_fn is not None:
-                out = np.asarray(self.ft_fn(kx, ky, kz), dtype=complex)
-            else:
-                out = self._ft_quad_3d(kx, ky, kz)
+            out = self._ft_quad_3d(*ks)
         return out if out.ndim else complex(out)
 
     def ft_y(self, x, q):
@@ -216,8 +208,8 @@ class PotentialSpec:
         return out.reshape(kx.shape)
 
 
-def potential_from_samples(x, y, values, label="sampled") -> PotentialSpec:
-    """Build a custom2d potential from a complex field sampled on a rectangle.
+def potential_from_samples(x, y, values) -> PotentialSpec:
+    """Build a potential from a complex field sampled on a rectangle.
 
     Cubic bivariate splines (real and imaginary parts separately) interpolate
     between samples; the support is exactly the sample rectangle, so the
@@ -238,30 +230,27 @@ def potential_from_samples(x, y, values, label="sampled") -> PotentialSpec:
         return sre(xx, yy, grid=False) + 1j * sim(xx, yy, grid=False)
 
     return PotentialSpec(
-        kind="custom2d",
         x_support=(float(x[0]), float(x[-1])),
         y_support=(float(y[0]), float(y[-1])),
         value_fn=value_fn,
-        label=label,
+        label="sampled",
     )
 
 
-def random_smooth_potential(
-    seed, n_terms=3, amplitude=1.0, x_length=1.0, label=None
-) -> PotentialSpec:
-    """Deterministic pseudo-random smooth complex potential on [0, L] x R.
+def random_smooth_potential(seed, amplitude=1.0) -> PotentialSpec:
+    """Deterministic pseudo-random smooth complex potential on [0, 1] x R.
 
-    A sum of separable terms: smooth sine profiles along x times complex
-    Gaussian wave packets in y.  Every term carries an analytic transverse
-    transform, so both the Born amplitudes and the transfer-matrix kernel
-    are assembled without numerical quadrature.  Used by the verification
-    command and by randomized consistency tests.
+    A sum of RANDOM_TERMS separable terms: smooth sine profiles along x
+    times complex Gaussian wave packets in y.  Every term carries an
+    analytic transverse transform, so both the Born amplitudes and the
+    transfer-matrix kernel are assembled without numerical quadrature.  Used
+    by the verification command and by randomized consistency tests.
     """
     rng = np.random.default_rng(seed)
-    L = float(x_length)
+    L = 1.0
     terms, profiles = [], []
     y_lo, y_hi = np.inf, -np.inf
-    for _ in range(int(n_terms)):
+    for _ in range(RANDOM_TERMS):
         z = amplitude * (rng.uniform(0.3, 1.0) * np.exp(2j * np.pi * rng.uniform()))
         nx = int(rng.integers(1, 4))
         phase = rng.uniform(0.0, 2.0 * np.pi)
@@ -298,12 +287,11 @@ def random_smooth_potential(
         return out
 
     return PotentialSpec(
-        kind="custom2d",
         x_support=(0.0, L),
         y_support=(float(y_lo), float(y_hi)),
         value_fn=value_fn,
         terms=tuple(terms),
-        label=label or f"random-smooth-{seed}",
+        label=f"random-smooth-{seed}",
     )
 
 
@@ -311,7 +299,7 @@ def sample_potential(v: PotentialSpec, nx=101, ny=101):
     """Sample a 2D potential on a uniform grid over its support.
 
     Returns (x, y, values) with values[i, j] = v(x[i], y[j]); used by the
-    export command.
+    construct command.
     """
     if v.dim != 2:
         raise ValueError("sampling export is for 2D potentials")

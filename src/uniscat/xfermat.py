@@ -55,8 +55,6 @@ __all__ = [
     "SpectralSingularityWarning",
     "IntegrationError",
     "TransferOperator",
-    "AsymptoticCoeffs",
-    "CurrentSample",
     "effective_hamiltonian",
     "default_slices",
     "evolve_transfer",
@@ -174,7 +172,12 @@ class _Assembler:
         # x-independent kernel scale: w_l / (2 pi * 2 omega_j)
         self.scale = grid.weights[None, :] / (4.0 * np.pi * grid.omegas[:, None])
         self.omegas = grid.omegas
-        self.vtilde = v._transverse_transform(self.delta)
+        self.v = v
+
+    @cached_property
+    def vtilde(self):
+        """x -> vtld(x, p_j - p_l), built on the first generator call."""
+        return self.v._transverse_transform(self.delta)
 
     def generator(self, x: float) -> np.ndarray:
         """-i H(x) as a dense 2N x 2N matrix."""

@@ -76,7 +76,6 @@ def test_transverse_ft_quadrature_route_agrees_with_terms():
     v = random_smooth_potential(3)
     # strip the separable decomposition to force the quadrature path
     vq = PotentialSpec(
-        kind="custom2d",
         x_support=v.x_support,
         y_support=v.y_support,
         value_fn=v.value_fn,
@@ -115,6 +114,16 @@ def test_dimension_guards():
         v.value(0.5, 0.0, 0.5)
     with pytest.raises(ValueError):
         v.ft(1.0, 1.0, 1.0)
+    v3 = PotentialSpec(
+        x_support=(0.0, 1.0),
+        y_support=(0.0, 1.0),
+        z_support=(0.0, 1.0),
+        value_fn=lambda x, y, z: x * y * z,
+    )
+    with pytest.raises(ValueError):
+        v3.value(0.5, 0.5)
+    with pytest.raises(ValueError):
+        v3.ft(1.0, 1.0)
 
 
 def test_separable_3d_box_ft_by_quadrature():
@@ -125,7 +134,6 @@ def test_separable_3d_box_ft_by_quadrature():
         return np.where(box, np.sin(np.pi * x) * np.sin(np.pi * y) * (1.0 + 0j), 0.0)
 
     v = PotentialSpec(
-        kind="custom3d",
         x_support=(0.0, 1.0),
         y_support=(0.0, 1.0),
         z_support=(0.0, 1.0),

@@ -52,7 +52,6 @@ def _constructed(g0=1e-2):
 
 def _zero_potential():
     return PotentialSpec(
-        kind="custom2d",
         x_support=(0.0, 1.0),
         y_support=(-1.0, 1.0),
         value_fn=lambda x, y: np.zeros(np.broadcast(x, y).shape, dtype=complex),
@@ -101,7 +100,6 @@ def test_kernel_is_the_public_transverse_transform():
     # ft_y itself, on the separable-terms route and on the y-quadrature route
     v = random_smooth_potential(7)
     vq = PotentialSpec(
-        kind="custom2d",
         x_support=v.x_support,
         y_support=v.y_support,
         value_fn=v.value_fn,
@@ -262,7 +260,6 @@ def test_spectral_singularity_warning():
 
 def test_integration_error_on_non_finite_values():
     bad = PotentialSpec(
-        kind="custom2d",
         x_support=(0.0, 1.0),
         y_support=(-1.0, 1.0),
         value_fn=lambda x, y: np.full(np.broadcast(x, y).shape, np.nan, dtype=complex),
