@@ -24,8 +24,12 @@ du(y) = (1 + cos theta) xi over the screen,
 The phase k (r - d) oscillates fast for wide screens, so the integral is
 done with vectorized 15-point Gauss-Kronrod panels cut at pi/4 phase
 increments, bisected adaptively on the embedded 7-point error estimate.
-A non-adaptive composite Gauss-Legendre rule on an unrelated node set acts
-as the independent cross-check (:func:`screen_power_oracle`).
+The cuts do not depend on s, so a sweep over widths (:func:`fig2_curves`)
+evaluates the panels between cuts once for all widths, plus two end
+panels per width, in one integrand call; :func:`screen_power` is the
+one-width case of the same pass.  A non-adaptive composite Gauss-Legendre
+rule on an unrelated node set acts as the independent cross-check
+(:func:`screen_power_oracle`).
 """
 
 from __future__ import annotations
@@ -233,69 +237,96 @@ def _screen_integrand(fn, k, d):
     return integrand
 
 
-def _phase_cut_edges(k, d, s):
-    """Panel edges on [-s/2, s/2] at pi/4 increments of the phase k (r - d)."""
-    half = 0.5 * s
-    phi_max = k * (np.hypot(d, half) - d)
-    n_cuts = int(np.floor(phi_max / (np.pi / 4.0)))
-    cuts = []
-    for m in range(1, n_cuts + 1):
-        rad = d + m * np.pi / (4.0 * k)
-        y = np.sqrt(rad * rad - d * d)
-        if y < half:
-            cuts.append(y)
-    edges = np.array([0.0] + cuts + [half])
-    return np.unique(np.concatenate([-edges[::-1], edges]))
-
-
 def _gk_panels(fn_y, lo, hi):
-    """Vectorized GK15 over panels [lo_i, hi_i]: (k15 sums, error estimates)."""
+    """Vectorized GK15 over panels [lo_i, hi_i]: (k15 sums, error estimates).
+
+    Each panel's 15 samples are reduced on their own (einsum, not a BLAS
+    gemv), so a panel's sums do not depend on the batch it is evaluated in.
+    """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     mid = 0.5 * (lo + hi)
     rad = 0.5 * (hi - lo)
     ys = mid[:, None] + rad[:, None] * GK_NODES[None, :]
     vals = fn_y(ys.ravel()).reshape(ys.shape)
-    k15 = rad * (vals @ GK_WEIGHTS)
-    g7 = rad * (vals @ G7_WEIGHTS)
+    k15 = rad * np.einsum("pn,n->p", vals, GK_WEIGHTS)
+    g7 = rad * np.einsum("pn,n->p", vals, G7_WEIGHTS)
     return k15, np.abs(k15 - g7)
+
+
+def _screen_sweep(source, d, s_values) -> np.ndarray:
+    """dP_screen at every width of s_values, from one shared set of panels.
+
+    A width s is cut at the pi/4 phase increments c_1 < c_2 < ... of
+    k (r - d) below s/2 (c_0 = 0), giving the panels
+
+        [-s/2, -c_n], [-c_n, -c_{n-1}], ..., [-c_1, 0], [0, c_1], ..., [c_n, s/2].
+
+    The cuts do not depend on s, so those of a narrower screen are a prefix
+    of the widest screen's.  The whole panels between consecutive cuts and
+    the two end panels of every width go through the integrand in one
+    batch; each width then takes its panels in the order above and is
+    refined on its own, bisecting wherever the embedded Gauss rule
+    disagrees with the Kronrod one until the summed error estimate drops
+    below SCREEN_ABS_TOL * s.  Panel sums are batch-independent, so every
+    width gets the same value as a sweep of that width alone.
+    """
+    fn, ctx = _resolve_amplitude(source)
+    k = ctx.k
+    integrand = _screen_integrand(fn, k, d)
+    s_values = np.asarray(s_values, dtype=float)
+    half = 0.5 * s_values
+    # cuts m = 1 .. floor(k (r(s/2) - d) / (pi/4)) that lie below s/2
+    n_cuts = np.floor(k * (np.hypot(d, half) - d) / (np.pi / 4.0)).astype(int)
+    rad = d + np.arange(1, n_cuts.max(initial=0) + 1) * np.pi / (4.0 * k)
+    cuts = np.concatenate([[0.0], np.sqrt(rad * rad - d * d)])
+    used = np.minimum(n_cuts, np.searchsorted(cuts[1:], half))
+    edges = cuts[: used.max(initial=0) + 1]
+    rev, whole = edges[::-1], edges.size - 1
+    # [whole panels, left to right | left ends | right ends]; the whole panels
+    # of a width with n cuts are then the slice whole - n : whole + n
+    lo_all = np.concatenate([-rev[:-1], edges[:-1], -half, edges[used]])
+    hi_all = np.concatenate([-rev[1:], edges[1:], -edges[used], half])
+    total_all, err_all = _gk_panels(integrand, lo_all, hi_all)
+    out = np.empty(s_values.size)
+    for i, (s, n) in enumerate(zip(s_values, used)):
+        idx = np.r_[2 * whole + i, whole - n : whole + n, 2 * whole + s_values.size + i]
+        lo, hi, total, err = lo_all[idx], hi_all[idx], total_all[idx], err_all[idx]
+        budget = SCREEN_ABS_TOL * s
+        for _ in range(SCREEN_MAX_DEPTH):
+            if float(np.sum(err)) <= budget:
+                break
+            worst = err > (budget / max(1, 2 * err.size))
+            keep_t, keep_e = total[~worst], err[~worst]
+            a, b = lo[worst], hi[worst]
+            m = 0.5 * (a + b)
+            lo = np.concatenate([lo[~worst], a, m])
+            hi = np.concatenate([hi[~worst], m, b])
+            t2, e2 = _gk_panels(integrand, np.concatenate([a, m]), np.concatenate([m, b]))
+            total = np.concatenate([keep_t, t2])
+            err = np.concatenate([keep_e, e2])
+        else:
+            warnings.warn(
+                f"screen integral error estimate {float(np.sum(err)):.3g} still "
+                f"above budget {budget:.3g} after {SCREEN_MAX_DEPTH} refinement rounds",
+                UserWarning,
+                stacklevel=3,  # the caller of screen_power or fig2_curves
+            )
+        out[i] = np.sum(total) / s
+    return out
 
 
 def screen_power(source, screen: ScreenSpec) -> float:
     """Normalized screen power change dP_screen(s), adaptively integrated.
 
-    Panels start at pi/4 phase increments and are bisected wherever the
+    The one-width case of the shared-panel sweep behind :func:`fig2_curves`:
+    panels start at pi/4 phase increments and are bisected wherever the
     embedded Gauss rule disagrees with the Kronrod one, until the summed
     error estimate of the y-integral drops below SCREEN_ABS_TOL * s (so the
     result itself is good to about SCREEN_ABS_TOL); after SCREEN_MAX_DEPTH
     rounds it warns and returns what it has.
     """
-    fn, ctx = _resolve_amplitude(source)
-    integrand = _screen_integrand(fn, ctx.k, screen.d)
-    edges = _phase_cut_edges(ctx.k, screen.d, screen.s)
-    lo, hi = edges[:-1], edges[1:]
-    total, err = _gk_panels(integrand, lo, hi)
-    budget = SCREEN_ABS_TOL * screen.s
-    for _ in range(SCREEN_MAX_DEPTH):
-        if float(np.sum(err)) <= budget:
-            break
-        worst = err > (budget / max(1, 2 * err.size))
-        keep_t, keep_e = total[~worst], err[~worst]
-        a, b = lo[worst], hi[worst]
-        m = 0.5 * (a + b)
-        lo = np.concatenate([lo[~worst], a, m])
-        hi = np.concatenate([hi[~worst], m, b])
-        t2, e2 = _gk_panels(integrand, np.concatenate([a, m]), np.concatenate([m, b]))
-        total = np.concatenate([keep_t, t2])
-        err = np.concatenate([keep_e, e2])
-    else:
-        warnings.warn(
-            f"screen integral error estimate {float(np.sum(err)):.3g} still "
-            f"above budget {budget:.3g} after {SCREEN_MAX_DEPTH} refinement rounds",
-            UserWarning,
-            stacklevel=2,
-        )
-    return float(np.sum(total) / screen.s)
+    return float(_screen_sweep(source, screen.d, [screen.s])[0])
 
 
 def screen_power_oracle(source, screen: ScreenSpec) -> float:
@@ -335,11 +366,15 @@ def fig2_curves(
 
     One curve per wavenumber; defaults reproduce the quartic-envelope,
     (ell, m) = (-1, 1) setup at k in {2 pi, 4 pi, 8 pi, 12 pi}, screen
-    distance 100 slab widths, 400 widths up to s = 100.
+    distance 100 slab widths, 400 widths up to s = 100.  Each curve is one
+    shared-panel pass over all widths (see :func:`screen_power`), and each
+    value equals screen_power at that width bit for bit.
     """
     if s_values is None:
         s_values = np.linspace(0.25, 100.0, 400) * slab
     s_values = np.asarray(s_values, dtype=float)
+    for s in s_values:
+        ScreenSpec(d=d, s=float(s))
     if ks is None:
         ks = [2.0 * np.pi, 4.0 * np.pi, 8.0 * np.pi, 12.0 * np.pi]
     env = quartic_envelope(g0, b)
@@ -348,15 +383,12 @@ def fig2_curves(
         params = ConstructionParams(
             ell=ell, m=m, envelope=env, ctx=WaveContext(k=float(k)), slab=slab
         )
-        vals = np.array(
-            [screen_power(params, ScreenSpec(d=d, s=float(s))) for s in s_values]
-        )
         curves.append(
             PowerCurve(
                 k=float(k),
                 d=d,
                 s_values=s_values.copy(),
-                values=vals,
+                values=_screen_sweep(params, d, s_values),
                 label=f"ell={ell} m={m} g0={g0:g} b={b:g}",
             )
         )

@@ -254,12 +254,10 @@ def born_operator(v: PotentialSpec, grid: MomentumGrid) -> TransferOperator:
     w = grid.omegas
     dsum = w[:, None] + w[None, :]
     ddif = w[:, None] - w[None, :]
-    b11 = asm.scale * v.ft(ddif, asm.delta)
-    b12 = asm.scale * v.ft(dsum, asm.delta)
-    b21 = -asm.scale * v.ft(-dsum, asm.delta)
-    b22 = -asm.scale * v.ft(-ddif, asm.delta)
+    # the four blocks share ky = delta, so one transform call serves them all
+    b = asm.scale * v.ft(np.stack([ddif, dsum, -dsum, -ddif]), asm.delta)
     n2 = 2 * grid.n
-    u = np.eye(n2, dtype=complex) - 1j * np.block([[b11, b12], [b21, b22]])
+    u = np.eye(n2, dtype=complex) - 1j * np.block([[b[0], b[1]], [-b[2], -b[3]]])
     return TransferOperator(
         grid=grid, matrix=u, slices=0, potential_label=v.label
     )

@@ -19,13 +19,22 @@ from uniscat import (
     closed_form_f_left,
     delta_u_S,
     fig2_curves,
+    gaussian_envelope,
     quartic_envelope,
     screen_power,
     screen_power_oracle,
     total_power_changes,
     xi,
 )
-from uniscat.empower import G7_WEIGHTS, GK_NODES, GK_WEIGHTS, _gk_panels
+from uniscat import empower
+from uniscat.empower import (
+    G7_WEIGHTS,
+    GK_NODES,
+    GK_WEIGHTS,
+    _gk_panels,
+    _screen_integrand,
+    _screen_sweep,
+)
 
 CTX = WaveContext(k=4 * np.pi)
 
@@ -193,3 +202,87 @@ def test_fig2_curves_layout_and_determinism():
     assert np.all(np.isfinite(a.values))
     assert np.array_equal(a.values, b.values)
     assert "ell=-1" in a.label
+
+
+def test_gk_panel_sums_do_not_depend_on_the_batch():
+    params = _params()
+    integrand = _screen_integrand(lambda th: closed_form_f_left(params, th), params.ctx.k, 100.0)
+    rng = np.random.default_rng(7)
+    lo = rng.uniform(-50.0, 50.0, 1000)
+    hi = lo + rng.uniform(1e-3, 2.0, 1000)
+    k15, err = _gk_panels(integrand, lo, hi)
+    k15_rev, err_rev = _gk_panels(integrand, lo[::-1], hi[::-1])
+    assert np.array_equal(k15_rev[::-1], k15) and np.array_equal(err_rev[::-1], err)
+    alone = [_gk_panels(integrand, lo[i : i + 1], hi[i : i + 1]) for i in range(lo.size)]
+    assert np.array_equal(np.concatenate([a for a, _ in alone]), k15)
+    assert np.array_equal(np.concatenate([e for _, e in alone]), err)
+
+
+def _per_width_phase_cut_edges(k, d, s):
+    """Panel edges of one width, cut at pi/4 phase steps by a plain loop."""
+    half = 0.5 * s
+    n_cuts = int(np.floor(k * (np.hypot(d, half) - d) / (np.pi / 4.0)))
+    cuts = []
+    for m in range(1, n_cuts + 1):
+        rad = d + m * np.pi / (4.0 * k)
+        y = np.sqrt(rad * rad - d * d)
+        if y < half:
+            cuts.append(y)
+    edges = np.array([0.0] + cuts + [half])
+    return np.unique(np.concatenate([-edges[::-1], edges]))
+
+
+@pytest.mark.parametrize("k, d", [(2 * np.pi, 100.0), (12 * np.pi, 100.0), (3.3, 7.5)])
+def test_sweep_panels_are_the_per_width_phase_cuts(k, d):
+    # these widths need no bisection, so each value is the plain panel sum
+    params = _params(k=k)
+    integrand = _screen_integrand(lambda th: closed_form_f_left(params, th), k, d)
+    widths = np.array([0.3, 1.0, 9.7, 40.0, 100.0])
+    want = []
+    for s in widths:
+        edges = _per_width_phase_cut_edges(k, d, s)
+        want.append(np.sum(_gk_panels(integrand, edges[:-1], edges[1:])[0]) / s)
+    assert np.array_equal(_screen_sweep(params, d, widths), want)
+
+
+@pytest.mark.parametrize("k", [2 * np.pi, 12 * np.pi])
+def test_fig2_curves_equal_per_width_screen_power(k):
+    s = np.linspace(0.25, 100.0, 400)[::10]
+    curve, = fig2_curves(s_values=s, ks=[k])
+    params = _params(k=k)
+    direct = [screen_power(params, ScreenSpec(d=100.0, s=float(w))) for w in s]
+    assert np.array_equal(curve.values, direct)
+
+
+def test_refined_sweep_equals_per_width_screen_power_and_the_oracle(monkeypatch):
+    params = ConstructionParams(
+        ell=-1, m=1, envelope=gaussian_envelope(1e-2, 1.0), ctx=CTX, slab=1.0
+    )
+    widths = [1.0, 10.0, 100.0]
+    batches = []
+
+    def counting(fn_y, lo, hi):
+        batches.append(np.size(lo))
+        return _gk_panels(fn_y, lo, hi)
+
+    monkeypatch.setattr(empower, "_gk_panels", counting)
+    swept = _screen_sweep(params, 1.0, widths)
+    assert len(batches) > 1  # the adaptive bisection ran
+    screens = [ScreenSpec(d=1.0, s=w) for w in widths]
+    assert np.array_equal(swept, [screen_power(params, sc) for sc in screens])
+    oracle = np.array([screen_power_oracle(params, sc) for sc in screens])
+    assert np.max(np.abs(swept - oracle)) <= 1e-9 * np.max(np.abs(swept))
+
+
+def test_refinement_depth_warning(monkeypatch):
+    monkeypatch.setattr(empower, "SCREEN_ABS_TOL", 0.0)
+    monkeypatch.setattr(empower, "SCREEN_MAX_DEPTH", 1)
+    with pytest.warns(UserWarning, match="refinement rounds"):
+        screen_power(_params(), ScreenSpec(d=100.0, s=10.0))
+    with pytest.warns(UserWarning, match="refinement rounds"):
+        fig2_curves(s_values=[5.0, 10.0], ks=[4 * np.pi])
+
+
+def test_fig2_curves_validate_every_width():
+    with pytest.raises(ValueError, match="screen width must be positive"):
+        fig2_curves(s_values=[1.0, -2.0], ks=[4 * np.pi])
