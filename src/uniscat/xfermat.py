@@ -13,12 +13,17 @@ the transverse transform vtld(x, p - q) of the potential,
 
     H(x)_{p q} = (1 / 2 omega(p)) *
                  [ +e^{-i omega_p x} vtld e^{+i omega_q x}   +e^{-i(omega_p + omega_q) x} vtld ]
-                 [ -e^{+i(omega_p + omega_q) x} vtld         -e^{+i omega_p x} vtld e^{-i omega_q x} ],
+                 [ -e^{+i(omega_p + omega_q) x} vtld         -e^{+i omega_p x} vtld e^{-i omega_q x} ].
 
-a rank-one 2x2 structure in the mover index (rows +/-, columns +/-).  On the
-Gauss-Legendre grid the q-integral becomes the weighted kernel
-V_{jl}(x) = vtld(x, p_j - p_l) w_l / (2 pi), and the ordered exponential is
-integrated with fixed-step classical Runge-Kutta.
+On the Gauss-Legendre grid the q-integral becomes the weighted kernel
+g_{jl}(x) = vtld(x, p_j - p_l) w_l / (4 pi omega_j), and with
+ph = e^{-i omega x} the generator factors as H(x) = l g r through the mover
+structure l = [ph; -conj ph] (2N x N) and r = [conj ph, ph] (N x 2N).
+Since r l = conj(ph) ph - ph conj(ph) = 0, every H(x) is nilpotent,
+H(x)^2 = 0.  The ordered exponential is integrated with fixed-step classical
+Runge-Kutta, applying -i H U = -i [ph Y; -conj(ph) Y] with
+Y = g (conj(ph) U_A + ph U_B); the stage nodes are
+linspace(x0, x1, 2 slices + 1), so the last one is exactly the slab edge x1.
 
 Exact properties of the continuum operator survive discretization in a
 precise form and are used as checks:
@@ -161,39 +166,28 @@ class CurrentSample:
     value: complex
 
 
-class _Assembler:
-    """Precomputed machinery turning vtld(x, p_j - p_l) into -i H(x)."""
+def _generator_factors(v: PotentialSpec, grid: MomentumGrid):
+    """x -> (g, ph), the factors of H(x) = l g r; see the module docstring."""
+    if v.dim != 2:
+        raise ValueError("the transfer matrix evolution is 2D only")
+    p = grid.nodes
+    vtilde = v._transverse_transform(p[:, None] - p[None, :])
+    # x-independent kernel scale: w_l / (2 pi * 2 omega_j)
+    scale = grid.weights[None, :] / (4.0 * np.pi * grid.omegas[:, None])
+    omegas = grid.omegas
 
-    def __init__(self, v: PotentialSpec, grid: MomentumGrid):
-        if v.dim != 2:
-            raise ValueError("the transfer matrix evolution is 2D only")
-        p = grid.nodes
-        self.delta = p[:, None] - p[None, :]
-        # x-independent kernel scale: w_l / (2 pi * 2 omega_j)
-        self.scale = grid.weights[None, :] / (4.0 * np.pi * grid.omegas[:, None])
-        self.omegas = grid.omegas
-        self.v = v
+    def factors(x):
+        return vtilde(x) * scale, np.exp(-1j * omegas * x)
 
-    @cached_property
-    def vtilde(self):
-        """x -> vtld(x, p_j - p_l), built on the first generator call."""
-        return self.v._transverse_transform(self.delta)
-
-    def generator(self, x: float) -> np.ndarray:
-        """-i H(x) as a dense 2N x 2N matrix."""
-        g = self.vtilde(x) * self.scale
-        ph = np.exp(-1j * self.omegas * x)
-        cph = np.conj(ph)
-        h11 = ph[:, None] * g * cph[None, :]
-        h12 = ph[:, None] * g * ph[None, :]
-        h21 = -cph[:, None] * g * cph[None, :]
-        h22 = -cph[:, None] * g * ph[None, :]
-        return -1j * np.block([[h11, h12], [h21, h22]])
+    return factors
 
 
 def effective_hamiltonian(v: PotentialSpec, grid: MomentumGrid, x: float) -> np.ndarray:
-    """The dense 2N x 2N generator H(x) at a single slab position."""
-    return 1j * _Assembler(v, grid).generator(x)
+    """The dense 2N x 2N generator H(x) = l g r at a single slab position."""
+    g, ph = _generator_factors(v, grid)(x)
+    left = np.concatenate([ph, -np.conj(ph)])
+    right = np.concatenate([np.conj(ph), ph])
+    return left[:, None] * np.tile(g, (2, 2)) * right[None, :]
 
 
 def default_slices(v: PotentialSpec, grid: MomentumGrid) -> int:
@@ -207,7 +201,9 @@ def evolve_transfer(v: PotentialSpec, grid: MomentumGrid, slices: int = None) ->
     """Integrate the ordered exponential across the slab.
 
     Classical fixed-step 4th-order Runge-Kutta on dU/dx = -i H(x) U from the
-    lower to the upper support edge; the generator vanishes outside.  The
+    lower to the upper support edge; the generator vanishes outside.  Each
+    stage applies H in its factored form (one N x N by N x 2N product), and
+    the stage nodes linspace(x0, x1, 2 slices + 1) end exactly at x1.  The
     slice count fixes the step; see :func:`default_slices`.
     """
     if slices is None:
@@ -215,22 +211,30 @@ def evolve_transfer(v: PotentialSpec, grid: MomentumGrid, slices: int = None) ->
     slices = int(slices)
     if slices < 1:
         raise ValueError(f"slice count must be positive, got {slices}")
-    asm = _Assembler(v, grid)
+    factors = _generator_factors(v, grid)
     x0, x1 = map(float, v.x_support)
     h = (x1 - x0) / slices
-    n2 = 2 * grid.n
-    u = np.eye(n2, dtype=complex)
-    a_cur = asm.generator(x0)
+    nodes = np.linspace(x0, x1, 2 * slices + 1).tolist()
+    n = grid.n
+
+    def apply(f, u):
+        """-i H u for the factors f = (g, ph) of H."""
+        g, ph = f
+        cph = np.conj(ph)
+        y = g @ (cph[:, None] * u[:n] + ph[:, None] * u[n:])
+        return np.concatenate([-1j * ph[:, None] * y, 1j * cph[:, None] * y])
+
+    u = np.eye(2 * n, dtype=complex)
+    f_cur = factors(nodes[0])
     for i in range(slices):
-        x = x0 + i * h
-        a_mid = asm.generator(x + 0.5 * h)
-        a_next = asm.generator(x + h)
-        k1 = a_cur @ u
-        k2 = a_mid @ (u + (0.5 * h) * k1)
-        k3 = a_mid @ (u + (0.5 * h) * k2)
-        k4 = a_next @ (u + h * k3)
+        f_mid = factors(nodes[2 * i + 1])
+        f_next = factors(nodes[2 * i + 2])
+        k1 = apply(f_cur, u)
+        k2 = apply(f_mid, u + (0.5 * h) * k1)
+        k3 = apply(f_mid, u + (0.5 * h) * k2)
+        k4 = apply(f_next, u + h * k3)
         u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        a_cur = a_next
+        f_cur = f_next
     if not np.all(np.isfinite(u)):
         raise IntegrationError(
             f"transfer-matrix integration blew up after {slices} slices; "
@@ -248,14 +252,15 @@ def born_operator(v: PotentialSpec, grid: MomentumGrid) -> TransferOperator:
     The x-integral of each phase-dressed kernel entry is the potential's
     full Fourier transform at the matching longitudinal frequency, so this
     needs no x-stepping at all.  Independent route used to validate the
-    evolution at weak coupling.
+    evolution at weak coupling, so it shares no code with it.
     """
-    asm = _Assembler(v, grid)
-    w = grid.omegas
+    p, w = grid.nodes, grid.omegas
+    delta = p[:, None] - p[None, :]
+    scale = grid.weights[None, :] / (4.0 * np.pi * w[:, None])
     dsum = w[:, None] + w[None, :]
     ddif = w[:, None] - w[None, :]
     # the four blocks share ky = delta, so one transform call serves them all
-    b = asm.scale * v.ft(np.stack([ddif, dsum, -dsum, -ddif]), asm.delta)
+    b = scale * v.ft(np.stack([ddif, dsum, -dsum, -ddif]), delta)
     n2 = 2 * grid.n
     u = np.eye(n2, dtype=complex) - 1j * np.block([[b[0], b[1]], [-b[2], -b[3]]])
     return TransferOperator(
@@ -380,42 +385,30 @@ def check_symplectic(op: TransferOperator) -> float:
     return float(np.linalg.norm(res) / np.linalg.norm(s))
 
 
-def classify(op_or_tables, tol: float) -> dict:
-    """Scattering classification at tolerance tol.
+def classify(op: TransferOperator, tol: float) -> dict:
+    """Scattering classification of an operator at tolerance tol.
 
     Returns {"sup_norms", "reciprocity_mismatch", "predicates"}: the sup
-    norm of each T-vector, |T^l_+(0) - T^r_-(0)| at the center node, and
-    the flags.  Accepts a TransferOperator or a mapping with keys 'left_plus',
-    'left_minus', 'right_plus', 'right_minus' (TransferTables or plain
-    complex arrays indexed like the grid).  Each side flag holds iff the
-    relevant T-vector's sup norm is <= tol times the largest of the four
-    sup norms; reciprocal transmission compares the two forward values
-    T^l_+(0) and T^r_-(0) at the center node, which the conserved current
-    forces to agree for every potential.
+    norm of each of the four T-vectors 'left_plus', 'left_minus',
+    'right_plus', 'right_minus', |T^l_+(0) - T^r_-(0)| at the center node,
+    and the flags.  Each side flag holds iff the relevant T-vector's sup
+    norm is <= tol times the largest of the four sup norms; reciprocal
+    transmission compares the two forward values T^l_+(0) and T^r_-(0) at
+    the center node, which the conserved current forces to agree for every
+    potential.
 
     The reciprocity mismatch has an absolute roundoff floor of about 1e-15
     to 1e-14 from subtracting the incident delta |d(0)| = 2 pi / w_center, so
     a tol below that floor divided by the largest sup norm makes
     reciprocal_transmission read false from roundoff alone.
     """
-    if isinstance(op_or_tables, TransferOperator):
-        tables = transfer_tables(op_or_tables)
-        center = op_or_tables.grid.center_index
-    else:
-        tables = dict(op_or_tables)
-        sample = tables["left_plus"]
-        n = (sample.grid.n if isinstance(sample, TransferTable)
-             else len(np.asarray(sample)))
-        center = n // 2
-    sup = {}
-    for key in ("left_plus", "left_minus", "right_plus", "right_minus"):
-        t = tables[key]
-        vals = t.values if isinstance(t, TransferTable) else np.asarray(t)
-        sup[key] = float(np.max(np.abs(vals)))
-        tables[key] = vals
-    scale = max(sup.values())
-    lim = tol * scale
-    recip = float(abs(tables["left_plus"][center] - tables["right_minus"][center]))
+    tables = transfer_tables(op)
+    sup = {key: t.sup for key, t in tables.items()}
+    lim = tol * max(sup.values())
+    center = op.grid.center_index
+    recip = float(
+        abs(tables["left_plus"].values[center] - tables["right_minus"].values[center])
+    )
     flags = {
         "left_reflectionless": sup["left_minus"] <= lim,
         "left_transparent": sup["left_plus"] <= lim,
@@ -430,9 +423,9 @@ def classify(op_or_tables, tol: float) -> dict:
     return {"sup_norms": sup, "reciprocity_mismatch": recip, "predicates": flags}
 
 
-def predicates(op_or_tables, tol: float) -> dict:
+def predicates(op: TransferOperator, tol: float) -> dict:
     """Scattering classification flags at tolerance tol; see :func:`classify`."""
-    return classify(op_or_tables, tol)["predicates"]
+    return classify(op, tol)["predicates"]
 
 
 def amplitude_table_from_operator(op: TransferOperator, side: str) -> AmplitudeTable:
