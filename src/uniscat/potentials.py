@@ -19,10 +19,13 @@ One factorization vtld(x, q) = sum_t fy_t(q) fx_t(x) defines every 2D
 transverse transform: ``ft_y``, the quadrature ``ft`` and the transfer-matrix
 kernel.  Potentials that are finite sums of separable terms f_x(x) f_y(y)
 with analytic transverse transforms declare them as ``terms`` (fx_t = f_x,
-fy_t = the transform of f_y), so the kernel costs a few scalar products per
-slice instead of a quadrature, which is what keeps dense parameter scans
-cheap; otherwise each y-quadrature node y_j is one term, with
-fy_j(q) = exp(-i q y_j) and fx_j(x) = w_j v(x, y_j).
+fy_t = the transform of f_y), so the kernel costs a few vectorized term
+evaluations per chunk of slices instead of a quadrature, which is what keeps
+dense parameter scans cheap; otherwise each y-quadrature node y_j is one
+term, with fy_j(q) = exp(-i q y_j) and fx_j(x) = w_j v(x, y_j).  Either way
+the transform takes an array of x at once, as fx(x) @ fy.T, so a chunk of
+x-nodes costs one fx evaluation (one ``value`` call on the quadrature route)
+and one matrix product.
 """
 
 from __future__ import annotations
@@ -138,7 +141,8 @@ class PotentialSpec:
     def ft_y(self, x, q):
         """Transverse transform vtld(x, q) = integral dy exp(-i q y) v(x, y).
 
-        x is a scalar, q a scalar or array.  2D only.
+        x is a scalar, q a scalar or array.  2D only.  This is the one-x
+        case of the array-x transform the transfer-matrix kernel uses.
         """
         out = self._transverse_transform(q)(float(x))
         return out if out.ndim else complex(out)
@@ -168,15 +172,23 @@ class PotentialSpec:
         return fy, fx
 
     def _transverse_transform(self, q):
-        """x -> vtld(x, q) at fixed q, zero outside the x-support."""
+        """x -> vtld(x, q) at fixed q, for a scalar or an array of x.
+
+        The result has the shape of x followed by the shape of q.  All the
+        x inside the support share one fx evaluation and one product
+        fx(x) @ fy.T; every x outside it gives exact zeros.
+        """
         fy, fx = self._transverse_factors(q)
-        shape, fy = fy.shape[:-1], fy.reshape(-1, fy.shape[-1])  # one gemv per x
+        shape, fyt = fy.shape[:-1], fy.reshape(-1, fy.shape[-1]).T
         x0, x1 = self.x_support
 
         def vtld(x):
-            if x < x0 or x > x1:
-                return np.zeros(shape, dtype=complex)
-            return (fy @ fx(x)).reshape(shape)
+            x = np.asarray(x, dtype=float)
+            out = np.zeros(x.shape + shape, dtype=complex)
+            inside = (x >= x0) & (x <= x1)
+            if inside.any():
+                out[inside] = (fx(x[inside]) @ fyt).reshape((-1,) + shape)
+            return out
 
         return vtld
 

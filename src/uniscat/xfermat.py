@@ -21,9 +21,29 @@ ph = e^{-i omega x} the generator factors as H(x) = l g r through the mover
 structure l = [ph; -conj ph] (2N x N) and r = [conj ph, ph] (N x 2N).
 Since r l = conj(ph) ph - ph conj(ph) = 0, every H(x) is nilpotent,
 H(x)^2 = 0.  The ordered exponential is integrated with fixed-step classical
-Runge-Kutta, applying -i H U = -i [ph Y; -conj(ph) Y] with
-Y = g (conj(ph) U_A + ph U_B); the stage nodes are
-linspace(x0, x1, 2 slices + 1), so the last one is exactly the slab edge x1.
+Runge-Kutta; the stage nodes are linspace(x0, x1, 2 slices + 1), so the last
+one is exactly the slab edge x1.  A stage applies -i H U = -i l Y with
+Y = g r U = g (conj(ph) U_A + ph U_B), and between two nodes a, b the mover
+structure gives the diagonal
+
+    r(a) l(b) = conj(ph_a) ph_b - ph_a conj(ph_b) = 2i sin(omega (x_a - x_b)).
+
+So r(a) applied to a stage derivative -i l(b) Y_b is the row scaling
+2 sin(omega (x_a - x_b)) Y_b, and a slice from node c over the midpoint m to
+the end e needs only the four N x N by N x 2N products
+
+    Y1 = g_c r_c U,                Y3 = g_m r_m U,
+    Y2 = g_m (r_m U + h sin(omega (x_m - x_c)) Y1),
+    Y4 = g_e (r_e U + 2 h sin(omega (x_e - x_m)) Y3),
+
+(r_m k2 = 0 drops the k2 term from Y3) followed by the in-place updates
+
+    U_A += -i (h/6) [ph_c Y1 + 2 ph_m (Y2 + Y3) + ph_e Y4],
+    U_B += +i (h/6) [conj(ph_c) Y1 + 2 conj(ph_m) (Y2 + Y3) + conj(ph_e) Y4],
+
+which is the classical RK4 step in exact arithmetic.  The factors (g, ph) are
+assembled for a chunk of slices at a time, one transverse-transform product
+for all of its nodes.
 
 Exact properties of the continuum operator survive discretization in a
 precise form and are used as checks:
@@ -77,6 +97,10 @@ __all__ = [
 
 # M22 condition number beyond which a spectral singularity is flagged.
 SPECTRAL_COND_LIMIT = 1e12
+
+# Slices whose generator factors evolve_transfer assembles at once; bounds
+# the kernel block to 2 * _CHUNK_SLICES + 1 matrices of N x N.
+_CHUNK_SLICES = 32
 
 
 class SpectralSingularityWarning(UserWarning):
@@ -167,7 +191,11 @@ class CurrentSample:
 
 
 def _generator_factors(v: PotentialSpec, grid: MomentumGrid):
-    """x -> (g, ph), the factors of H(x) = l g r; see the module docstring."""
+    """x -> (g, ph), the factors of H(x) = l g r; see the module docstring.
+
+    x is a scalar or an array of nodes; g has the shape of x followed by
+    (N, N) and ph the shape of x followed by (N,).
+    """
     if v.dim != 2:
         raise ValueError("the transfer matrix evolution is 2D only")
     p = grid.nodes
@@ -177,7 +205,9 @@ def _generator_factors(v: PotentialSpec, grid: MomentumGrid):
     omegas = grid.omegas
 
     def factors(x):
-        return vtilde(x) * scale, np.exp(-1j * omegas * x)
+        g = vtilde(x)
+        g *= scale
+        return g, np.exp(-1j * np.multiply.outer(x, omegas))
 
     return factors
 
@@ -201,10 +231,14 @@ def evolve_transfer(v: PotentialSpec, grid: MomentumGrid, slices: int = None) ->
     """Integrate the ordered exponential across the slab.
 
     Classical fixed-step 4th-order Runge-Kutta on dU/dx = -i H(x) U from the
-    lower to the upper support edge; the generator vanishes outside.  Each
-    stage applies H in its factored form (one N x N by N x 2N product), and
-    the stage nodes linspace(x0, x1, 2 slices + 1) end exactly at x1.  The
-    slice count fixes the step; see :func:`default_slices`.
+    lower to the upper support edge; the generator vanishes outside.  The
+    stage nodes linspace(x0, x1, 2 slices + 1) end exactly at x1.  Each
+    stage is one N x N by N x 2N product on the two mover halves of U, which
+    are updated in place: the identity r(a) l(b) = 2i sin(omega (x_a - x_b))
+    turns the stage sums U + c k into diagonal scalings of the previous
+    stage's product (see the module docstring).  The factors (g, ph) are
+    assembled _CHUNK_SLICES slices at a time.  The slice count fixes the
+    step; see :func:`default_slices`.
     """
     if slices is None:
         slices = default_slices(v, grid)
@@ -214,27 +248,37 @@ def evolve_transfer(v: PotentialSpec, grid: MomentumGrid, slices: int = None) ->
     factors = _generator_factors(v, grid)
     x0, x1 = map(float, v.x_support)
     h = (x1 - x0) / slices
-    nodes = np.linspace(x0, x1, 2 * slices + 1).tolist()
+    nodes = np.linspace(x0, x1, 2 * slices + 1)
     n = grid.n
-
-    def apply(f, u):
-        """-i H u for the factors f = (g, ph) of H."""
-        g, ph = f
-        cph = np.conj(ph)
-        y = g @ (cph[:, None] * u[:n] + ph[:, None] * u[n:])
-        return np.concatenate([-1j * ph[:, None] * y, 1j * cph[:, None] * y])
-
     u = np.eye(2 * n, dtype=complex)
-    f_cur = factors(nodes[0])
-    for i in range(slices):
-        f_mid = factors(nodes[2 * i + 1])
-        f_next = factors(nodes[2 * i + 2])
-        k1 = apply(f_cur, u)
-        k2 = apply(f_mid, u + (0.5 * h) * k1)
-        k3 = apply(f_mid, u + (0.5 * h) * k2)
-        k4 = apply(f_next, u + h * k3)
-        u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        f_cur = f_next
+    ua, ub = u[:n], u[n:]
+    for first in range(0, slices, _CHUNK_SLICES):
+        count = min(_CHUNK_SLICES, slices - first)
+        # local node 2i starts slice i of the chunk, 2i + 1 is its midpoint
+        # and 2i + 2 its end (and the start of the next slice)
+        g, ph = factors(nodes[2 * first : 2 * (first + count) + 1])
+        cph = np.conj(ph)
+        # the sines of r(a) l(b), taken from the node phases themselves
+        s_mid = h * (cph[1::2] * ph[:-1:2]).imag
+        s_end = 2.0 * h * (cph[2::2] * ph[1::2]).imag
+        # RK4 weights -i (h/6) (1, 2, 1) ph of the U_A update; U_B's are
+        # their conjugates
+        wa = (-1j * h / 6.0) * ph
+        wa[1::2] *= 2.0
+        wb = np.conj(wa)
+        ph, cph, s_mid, s_end, wa, wb = (
+            a[..., None] for a in (ph, cph, s_mid, s_end, wa, wb)
+        )
+        for i in range(count):
+            c, m, e = 2 * i, 2 * i + 1, 2 * i + 2
+            y1 = g[c] @ (cph[c] * ua + ph[c] * ub)
+            rm = cph[m] * ua + ph[m] * ub
+            y3 = g[m] @ rm
+            y2 = g[m] @ (rm + s_mid[i] * y1)
+            y4 = g[e] @ (cph[e] * ua + ph[e] * ub + s_end[i] * y3)
+            y2 += y3
+            ua += wa[c] * y1 + wa[m] * y2 + wa[e] * y4
+            ub += wb[c] * y1 + wb[m] * y2 + wb[e] * y4
     if not np.all(np.isfinite(u)):
         raise IntegrationError(
             f"transfer-matrix integration blew up after {slices} slices; "

@@ -88,6 +88,36 @@ def test_transverse_ft_quadrature_route_agrees_with_terms():
         assert np.max(np.abs(a - b)) < 1e-10 * max(1.0, np.max(np.abs(a)))
 
 
+def test_transverse_transform_takes_an_array_of_x():
+    # one fx evaluation and one product for a whole array of x must equal
+    # the stacked one-x transforms, with exact zeros outside the support;
+    # neither fx below vanishes there by itself: the term is e^{2ix} times a
+    # y-box (whose transform is a sinc), and the spline of the sampled copy
+    # extrapolates
+    terms = PotentialSpec(
+        x_support=(0.0, 1.0),
+        y_support=(-0.5, 0.5),
+        value_fn=lambda x, y: np.exp(2j * x) * (np.abs(y) <= 0.5),
+        terms=(
+            SeparableTerm(
+                fx=lambda x: np.exp(2j * x), fy_ft=lambda q: np.sinc(q / (2.0 * np.pi))
+            ),
+        ),
+    )
+    v = random_smooth_potential(6)
+    copy = potential_from_samples(*sample_potential(v, 41, 41))
+    assert copy.terms is None and copy.x_support == (0.0, 1.0)
+    q = np.array([[-3.0, 0.0], [1.5, 4.0]])
+    xs = np.array([-0.5, 0.0, 0.13, 0.5, 0.87, 1.0, 1.7])
+    outside = (xs < 0.0) | (xs > 1.0)
+    for pot in (terms, copy):
+        got = pot._transverse_transform(q)(xs)
+        want = np.stack([pot.ft_y(x, q) for x in xs])
+        assert got.shape == xs.shape + q.shape
+        assert np.all(got[outside] == 0.0)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 def test_sampled_copy_reproduces_the_transform():
     # accuracy here is limited by cubic interpolation of the samples, not by
     # the transform quadrature; 260 points across an 8-sigma window leave a

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import uniscat
+import uniscat.xfermat as xfermat
 from uniscat import (
     ConstructionParams,
     IntegrationError,
@@ -157,13 +158,16 @@ def _dense_rk4(v, grid, slices):
 
 
 def test_factored_evolution_equals_dense_generator_rk4():
+    # 70 slices span three kernel chunks, the last one partial
+    assert 70 > 2 * xfermat._CHUNK_SLICES and 70 % xfermat._CHUNK_SLICES
     grid = gauss_grid(15, CTX)
     v = _constructed()
     copy = potential_from_samples(*sample_potential(v, 101, 101))
     for pot in (random_smooth_potential(9, amplitude=300.0), v, copy):
-        got = evolve_transfer(pot, grid, slices=30).matrix
-        want = _dense_rk4(pot, grid, 30)
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        for slices in (30, 70):
+            got = evolve_transfer(pot, grid, slices=slices).matrix
+            want = _dense_rk4(pot, grid, slices)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_last_rk4_node_is_the_slab_edge():
