@@ -24,8 +24,11 @@ evaluations per chunk of slices instead of a quadrature, which is what keeps
 dense parameter scans cheap; otherwise each y-quadrature node y_j is one
 term, with fy_j(q) = exp(-i q y_j) and fx_j(x) = w_j v(x, y_j).  Either way
 the transform takes an array of x at once, as fx(x) @ fy.T, so a chunk of
-x-nodes costs one fx evaluation (one ``value`` call on the quadrature route)
-and one matrix product.
+x-nodes costs one fx evaluation and one matrix product.  On the quadrature
+route that evaluation is one ``value`` call on the x-node by y-node tensor,
+or, for a sorted 1-D array of x and a potential that carries ``tensor_fn``
+(a tabulated one), one tensor-grid evaluation of its splines, which gives
+the same values without visiting each point.
 """
 
 from __future__ import annotations
@@ -88,6 +91,10 @@ class PotentialSpec:
         Vectorized (x, y) -> complex (2D) or (x, y, z) -> complex (3D).
     ft_fn : callable or None
         Closed-form full Fourier transform, same argument order as `ft`.
+    tensor_fn : callable or None
+        (x, y) -> v on the tensor grid of two nondecreasing 1-D arrays, shape
+        (x.size, y.size); equal to ``value(x[:, None], y)``.  The quadrature
+        route of the transverse transform uses it when it can (2D only).
     terms : tuple of SeparableTerm or None
         Separable decomposition for fast transverse transforms (2D only).
     params : object or None
@@ -101,6 +108,7 @@ class PotentialSpec:
     value_fn: Callable
     z_support: tuple = None
     ft_fn: Callable = None
+    tensor_fn: Callable = None
     terms: tuple = None
     params: object = None
     label: str = "potential"
@@ -167,7 +175,10 @@ class PotentialSpec:
             fy = np.exp(-1j * np.multiply.outer(q, yn))
 
             def fx(x):
-                return wn * self.value(np.asarray(x, dtype=float)[..., None], yn)
+                x = np.asarray(x, dtype=float)
+                if self.tensor_fn is not None and x.ndim == 1 and np.all(x[1:] >= x[:-1]):
+                    return wn * self.tensor_fn(x, yn)
+                return wn * self.value(x[..., None], yn)
 
         return fy, fx
 
@@ -176,7 +187,9 @@ class PotentialSpec:
 
         The result has the shape of x followed by the shape of q.  All the
         x inside the support share one fx evaluation and one product
-        fx(x) @ fy.T; every x outside it gives exact zeros.
+        fx(x) @ fy.T; every x outside it gives exact zeros.  When every x is
+        inside, that product is the result itself, with no zero-filled
+        buffer or masked copy.
         """
         fy, fx = self._transverse_factors(q)
         shape, fyt = fy.shape[:-1], fy.reshape(-1, fy.shape[-1]).T
@@ -184,8 +197,10 @@ class PotentialSpec:
 
         def vtld(x):
             x = np.asarray(x, dtype=float)
-            out = np.zeros(x.shape + shape, dtype=complex)
             inside = (x >= x0) & (x <= x1)
+            if inside.all():
+                return (fx(x.reshape(-1)) @ fyt).reshape(x.shape + shape)
+            out = np.zeros(x.shape + shape, dtype=complex)
             if inside.any():
                 out[inside] = (fx(x[inside]) @ fyt).reshape((-1,) + shape)
             return out
@@ -226,6 +241,8 @@ def potential_from_samples(x, y, values) -> PotentialSpec:
     Cubic bivariate splines (real and imaginary parts separately) interpolate
     between samples; the support is exactly the sample rectangle, so the
     samples should cover the region where the field is smooth and nonzero.
+    The splines also serve ``tensor_fn``, their tensor-grid evaluation, which
+    the transverse quadrature uses for sorted chunks of x-nodes.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -241,10 +258,14 @@ def potential_from_samples(x, y, values) -> PotentialSpec:
     def value_fn(xx, yy):
         return sre(xx, yy, grid=False) + 1j * sim(xx, yy, grid=False)
 
+    def tensor_fn(xx, yy):
+        return sre(xx, yy, grid=True) + 1j * sim(xx, yy, grid=True)
+
     return PotentialSpec(
         x_support=(float(x[0]), float(x[-1])),
         y_support=(float(y[0]), float(y[-1])),
         value_fn=value_fn,
+        tensor_fn=tensor_fn,
         label="sampled",
     )
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
@@ -13,6 +15,7 @@ from uniscat import (
     random_smooth_potential,
     sample_potential,
 )
+from uniscat.potentials import _gl_rule
 
 
 def _brute_ft_2d(v, kx, ky, nx=260, ny=260):
@@ -107,15 +110,48 @@ def test_transverse_transform_takes_an_array_of_x():
     v = random_smooth_potential(6)
     copy = potential_from_samples(*sample_potential(v, 41, 41))
     assert copy.terms is None and copy.x_support == (0.0, 1.0)
+    # the copy's tensor-grid route takes only nondecreasing 1-D x: record
+    # which x reach it
+    seen = []
+
+    def tensor_fn(x, y):
+        seen.append(x)
+        return copy.tensor_fn(x, y)
+
+    spy = replace(copy, tensor_fn=tensor_fn)
     q = np.array([[-3.0, 0.0], [1.5, 4.0]])
-    xs = np.array([-0.5, 0.0, 0.13, 0.5, 0.87, 1.0, 1.7])
-    outside = (xs < 0.0) | (xs > 1.0)
-    for pot in (terms, copy):
-        got = pot._transverse_transform(q)(xs)
-        want = np.stack([pot.ft_y(x, q) for x in xs])
-        assert got.shape == xs.shape + q.shape
-        assert np.all(got[outside] == 0.0)
-        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    sorted_xs = np.array([-0.5, 0.0, 0.13, 0.5, 0.87, 1.0, 1.7])
+    # a permuted array sends the copy to the pointwise fallback; an array
+    # inside the support skips the zero-filled buffer
+    permuted = sorted_xs[[3, 6, 1, 4, 0, 5, 2]]
+    inside = np.array([0.0, 0.13, 0.5, 0.87, 1.0])
+    for xs, reaching in ((sorted_xs, sorted_xs[1:-1]), (permuted, None), (inside, inside)):
+        outside = (xs < 0.0) | (xs > 1.0)
+        for pot in (terms, spy):
+            seen.clear()
+            got = pot._transverse_transform(q)(xs)
+            if pot is spy:
+                assert len(seen) == (reaching is not None)
+                assert reaching is None or np.array_equal(seen[0], reaching)
+            want = np.stack([pot.ft_y(x, q) for x in xs])
+            assert got.shape == xs.shape + q.shape
+            assert np.all(got[outside] == 0.0)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("samples", [41, 401])
+def test_tensor_grid_values_equal_the_pointwise_values(samples):
+    # the spline's tensor evaluation serves the kernel of a tabulated copy,
+    # so it must reproduce the pointwise values exactly, on a chunk of x-nodes
+    # against the y-quadrature nodes
+    v = random_smooth_potential(6)
+    copy = potential_from_samples(*sample_potential(v, samples, samples))
+    assert copy.tensor_fn is not None and v.tensor_fn is None
+    # the 65 nodes of the sixth 32-slice chunk of a 400-slice evolution
+    x = np.linspace(*copy.x_support, 801)[320:385]
+    yn, _ = _gl_rule(copy.quad_nodes, *copy.y_support)
+    want = copy.value(x[:, None], yn)
+    assert np.array_equal(copy.tensor_fn(x, yn), want)
 
 
 def test_sampled_copy_reproduces_the_transform():

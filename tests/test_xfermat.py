@@ -7,6 +7,8 @@ carry method-order tolerances.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -168,6 +170,18 @@ def test_factored_evolution_equals_dense_generator_rk4():
             got = evolve_transfer(pot, grid, slices=slices).matrix
             want = _dense_rk4(pot, grid, slices)
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_tensor_grid_route_equals_the_pointwise_route():
+    # a tabulated copy evaluates its kernel on the spline's tensor grid; the
+    # same copy without it goes through pointwise values, which stay the
+    # reference for both the evolution and the independent Born operator
+    grid = gauss_grid(15, CTX)
+    copy = potential_from_samples(*sample_potential(_constructed(), 101, 101))
+    pointwise = replace(copy, tensor_fn=None)
+    assert copy.tensor_fn is not None
+    for route in (evolve_transfer, born_operator):
+        assert np.array_equal(route(copy, grid).matrix, route(pointwise, grid).matrix)
 
 
 def test_last_rk4_node_is_the_slab_edge():
