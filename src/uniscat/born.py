@@ -95,7 +95,7 @@ class AmplitudeTable:
     thetas are measured from the incidence axis; the forward half for the
     left-incident wave is |theta| < pi/2, the backward half
     pi/2 < theta < 3 pi/2.  `method` records which route produced the
-    values ("born", "closed_form" or "xfermat").
+    values ("born" or "closed_form").
     """
 
     side: str

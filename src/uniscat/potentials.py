@@ -33,7 +33,7 @@ the same values without visiting each point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
@@ -48,6 +48,10 @@ __all__ = [
     "random_smooth_potential",
     "sample_potential",
 ]
+
+# Gauss-Legendre nodes per axis of the quadrature fallbacks; the 3D
+# transform uses half as many per axis.
+QUAD_NODES = 160
 
 
 class SeparableTerm(NamedTuple):
@@ -112,7 +116,6 @@ class PotentialSpec:
     terms: tuple = None
     params: object = None
     label: str = "potential"
-    quad_nodes: int = field(default=160, repr=False)
 
     @property
     def dim(self) -> int:
@@ -171,7 +174,7 @@ class PotentialSpec:
                 return np.stack([t.fx(x) for t in self.terms], -1)
 
         else:
-            yn, wn = _gl_rule(self.quad_nodes, *map(float, self.y_support))
+            yn, wn = _gl_rule(QUAD_NODES, *map(float, self.y_support))
             fy = np.exp(-1j * np.multiply.outer(q, yn))
 
             def fx(x):
@@ -211,14 +214,14 @@ class PotentialSpec:
 
     def _ft_quad_2d(self, kx, ky):
         """sum_t fy_t(Ky) * integral dx exp(-i Kx x) fx_t(x), by x-quadrature."""
-        xn, wx = _gl_rule(self.quad_nodes, *map(float, self.x_support))
+        xn, wx = _gl_rule(QUAD_NODES, *map(float, self.x_support))
         fy, fx = self._transverse_factors(ky)
         ex = np.exp(-1j * np.multiply.outer(kx, xn))
         fxt = ex @ (wx[:, None] * fx(xn))
         return np.sum(fy * fxt, axis=-1)
 
     def _ft_quad_3d(self, kx, ky, kz):
-        n = max(48, self.quad_nodes // 2)
+        n = QUAD_NODES // 2
         xn, wx = _gl_rule(n, *map(float, self.x_support))
         yn, wy = _gl_rule(n, *map(float, self.y_support))
         zn, wz = _gl_rule(n, *map(float, self.z_support))

@@ -56,11 +56,14 @@ precise form and are used as checks:
 * the associated conserved current gives transmission reciprocity,
   T^l_+(0) = T^r_-(0), for every potential.
 
-Incident plane waves are the grid delta 2 pi / w_j0 at the center node;
-the four transmission/reflection functions come out of M by linear solves
-against the M22 block (see :func:`extract_t`).  A nearly singular M22
-signals a spectral singularity (zero-width resonance); it is reported as a
-warning, not an error.
+Incident plane waves are the grid delta d = 2 pi / w_j0 at the center
+node.  An incident solution fixes the incoming coefficients A_- and B_+
+(A_- = d, B_+ = 0 from the left; A_- = 0, B_+ = d from the right), and one
+solve against the M22 block gives the outgoing ones B_- and A_+ (see
+:func:`scattering_coeffs`).  On either side the transmission/reflection
+functions are outgoing minus incoming, T_+ = A_+ - A_- and T_- = B_- - B_+.
+A nearly singular M22 signals a spectral singularity (zero-width
+resonance); it is reported as a warning, not an error.
 """
 
 from __future__ import annotations
@@ -72,7 +75,7 @@ from functools import cached_property
 import numpy as np
 from scipy.linalg import lu_factor, lu_solve
 
-from .born import AmplitudeTable, TransferTable, amplitude_from_t
+from .born import TransferTable, _check_side_sign
 from .grids import MomentumGrid, delta_vector
 from .potentials import PotentialSpec
 
@@ -91,7 +94,6 @@ __all__ = [
     "check_symplectic",
     "classify",
     "predicates",
-    "amplitude_table_from_operator",
     "operator_to_dict",
 ]
 
@@ -177,10 +179,6 @@ class AsymptoticCoeffs:
     b: np.ndarray
     side_limit: str  # "minus_inf" | "plus_inf"
 
-    def __post_init__(self):
-        if self.side_limit not in ("minus_inf", "plus_inf"):
-            raise ValueError(f"bad side limit {self.side_limit!r}")
-
 
 @dataclass(frozen=True)
 class CurrentSample:
@@ -196,8 +194,6 @@ def _generator_factors(v: PotentialSpec, grid: MomentumGrid):
     x is a scalar or an array of nodes; g has the shape of x followed by
     (N, N) and ph the shape of x followed by (N,).
     """
-    if v.dim != 2:
-        raise ValueError("the transfer matrix evolution is 2D only")
     p = grid.nodes
     vtilde = v._transverse_transform(p[:, None] - p[None, :])
     # x-independent kernel scale: w_l / (2 pi * 2 omega_j)
@@ -316,39 +312,40 @@ def born_operator(v: PotentialSpec, grid: MomentumGrid) -> TransferOperator:
 # extraction
 
 
-def _incident_solution(op: TransferOperator, side: str):
-    """(B_-, A_+) of the left- or right-incident solution, by M22 solves.
+def scattering_coeffs(op: TransferOperator, side: str):
+    """Asymptotic (A, B) pairs of the left- or right-incident solution.
 
-    Left incidence (A_- = d, B_+ = 0):
-        B_- = -M22^{-1} M21 d,      A_+ = M11 d + M12 B_-.
-    Right incidence (A_- = 0, B_+ = d):
-        B_- = M22^{-1} d,           A_+ = M12 B_-.
+    The incoming coefficients are A_- = d, B_+ = 0 (left) or A_- = 0,
+    B_+ = d (right), with d the incident delta; one M22 solve gives the
+    outgoing ones on either side:
+
+        B_- = M22^{-1} (B_+ - M21 A_-),      A_+ = M11 A_- + M12 B_-.
+
+    Returns (coeffs at -inf, coeffs at +inf).
     """
-    if side not in ("left", "right"):
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+    _check_side_sign(side)
     d = delta_vector(op.grid)
-    if side == "left":
-        b_minus = -op.solve_m22(op.m21 @ d)
-        return b_minus, op.m11 @ d + op.m12 @ b_minus
-    b_minus = op.solve_m22(d)
-    return b_minus, op.m12 @ b_minus
+    zero = np.zeros_like(d)
+    a_minus, b_plus = (d, zero) if side == "left" else (zero, d)
+    b_minus = op.solve_m22(b_plus - op.m21 @ a_minus)
+    a_plus = op.m11 @ a_minus + op.m12 @ b_minus
+    return (
+        AsymptoticCoeffs(a=a_minus, b=b_minus, side_limit="minus_inf"),
+        AsymptoticCoeffs(a=a_plus, b=b_plus, side_limit="plus_inf"),
+    )
 
 
 def extract_t(op: TransferOperator, side: str, sign: str) -> TransferTable:
-    """T_side_sign on the grid nodes, from the incident solution.
+    """T_side_sign on the grid nodes: outgoing minus incoming coefficients
+    of the incident solution (see :func:`scattering_coeffs`),
 
-    The incident delta d is subtracted from the mover it rides on:
-        T^l_- = B_-,      T^l_+ = A_+ - d,
-        T^r_- = B_- - d,  T^r_+ = A_+.
+        T_+ = A_+ - A_-,      T_- = B_- - B_+,
+
+    on either side.
     """
-    if sign not in ("plus", "minus"):
-        raise ValueError(f"sign must be 'plus' or 'minus', got {sign!r}")
-    b_minus, a_plus = _incident_solution(op, side)
-    d = delta_vector(op.grid)
-    if side == "left":
-        values = a_plus - d if sign == "plus" else b_minus
-    else:
-        values = a_plus if sign == "plus" else b_minus - d
+    _check_side_sign(side, sign)
+    minus, plus = scattering_coeffs(op, side)
+    values = plus.a - minus.a if sign == "plus" else minus.b - plus.b
     return TransferTable(side=side, sign=sign, grid=op.grid, values=values)
 
 
@@ -359,21 +356,6 @@ def transfer_tables(op: TransferOperator) -> dict:
         for side in ("left", "right")
         for sign in ("plus", "minus")
     }
-
-
-def scattering_coeffs(op: TransferOperator, side: str):
-    """Asymptotic (A, B) pairs of the left- or right-incident solution.
-
-    Returns (coeffs at -inf, coeffs at +inf).
-    """
-    b_minus, a_plus = _incident_solution(op, side)
-    d = delta_vector(op.grid)
-    zero = np.zeros_like(d)
-    a_minus, b_plus = (d, zero) if side == "left" else (zero, d)
-    return (
-        AsymptoticCoeffs(a=a_minus, b=b_minus, side_limit="minus_inf"),
-        AsymptoticCoeffs(a=a_plus, b=b_plus, side_limit="plus_inf"),
-    )
 
 
 def conserved_current(c1, c2, grid: MomentumGrid):
@@ -442,9 +424,9 @@ def classify(op: TransferOperator, tol: float) -> dict:
     potential.
 
     The reciprocity mismatch has an absolute roundoff floor of about 1e-15
-    to 1e-14 from subtracting the incident delta |d(0)| = 2 pi / w_center, so
-    a tol below that floor divided by the largest sup norm makes
-    reciprocal_transmission read false from roundoff alone.
+    to 1e-14 from subtracting the incoming coefficient |d(0)| = 2 pi /
+    w_center, so a tol below that floor divided by the largest sup norm
+    makes reciprocal_transmission read false from roundoff alone.
     """
     tables = transfer_tables(op)
     sup = {key: t.sup for key, t in tables.items()}
@@ -470,36 +452,6 @@ def classify(op: TransferOperator, tol: float) -> dict:
 def predicates(op: TransferOperator, tol: float) -> dict:
     """Scattering classification flags at tolerance tol; see :func:`classify`."""
     return classify(op, tol)["predicates"]
-
-
-def amplitude_table_from_operator(op: TransferOperator, side: str) -> AmplitudeTable:
-    """Differential amplitude over the grid's natural angles.
-
-    Forward angles arcsin(p_j / k) carry the plus T-function, backward
-    angles pi - arcsin(p_j / k) the minus one; |cos theta| = omega_j / k on
-    both, so every sample respects the grazing margin as long as the grid
-    does.
-    """
-    grid = op.grid
-    k = grid.ctx.k
-    alpha = np.arcsin(grid.nodes / k)
-    t_plus = extract_t(op, side, "plus").values
-    t_minus = extract_t(op, side, "minus").values
-    thetas = np.concatenate([alpha, np.pi - alpha])
-    values = np.concatenate(
-        [
-            amplitude_from_t(t_plus, alpha, grid.ctx),
-            amplitude_from_t(t_minus, np.pi - alpha, grid.ctx),
-        ]
-    )
-    order = np.argsort(thetas)
-    return AmplitudeTable(
-        side=side,
-        thetas=thetas[order],
-        values=values[order],
-        method="xfermat",
-        ctx=grid.ctx,
-    )
 
 
 def operator_to_dict(op: TransferOperator) -> dict:

@@ -1,8 +1,10 @@
-"""The package export list and the layers the benchmark tracer wraps.
+"""The package export list and the names the benchmark relies on.
 
 The tracer in bench/tracing.py wraps only the plain functions that a module
 lists in its ``__all__``, so trimming an export silently blanks a traced
-layer; this file keeps both lists honest.
+layer; the benchmark's workloads and checks call the program through module
+attributes, so removing one of those breaks the benchmark.  This file keeps
+the export lists honest against both.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ from pathlib import Path
 
 import uniscat
 
-BENCH_RUN = Path(__file__).resolve().parents[1] / "bench" / "run.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+BENCH_RUN = BENCH / "run.py"
 MODULES = (
     uniscat.born,
     uniscat.construct,
@@ -35,6 +38,36 @@ def _layer_busy():
         ):
             return ast.literal_eval(node.value)
     raise AssertionError(f"no LAYER_BUSY in {BENCH_RUN}")
+
+
+def _bench_reads():
+    """(module name, attribute) for every public attribute a file under
+    bench/ reads from a uniscat module it imports, read without running it."""
+    reads = set()
+    for path in sorted(BENCH.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        aliases = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for a in node.names:
+                    if a.name.split(".")[0] == "uniscat":
+                        aliases[a.asname or "uniscat"] = a.name if a.asname else "uniscat"
+        for node in ast.walk(tree):
+            chain, base = [], node
+            while isinstance(base, ast.Attribute):
+                chain.insert(0, base.attr)
+                base = base.value
+            if not (chain and isinstance(base, ast.Name) and base.id in aliases):
+                continue
+            module = aliases[base.id]
+            # uniscat.xfermat.extract_t reads extract_t from uniscat.xfermat
+            while len(chain) > 1 and inspect.ismodule(
+                getattr(importlib.import_module(module), chain[0], None)
+            ):
+                module = f"{module}.{chain.pop(0)}"
+            if not chain[0].startswith("__"):
+                reads.add((module, chain[0]))
+    return reads
 
 
 def test_package_exports_each_module_list_once():
@@ -62,3 +95,11 @@ def test_traced_layers_are_exported_functions():
             fn = inspect.getattr_static(getattr(module, path[0]), path[1])
         assert inspect.isfunction(fn), layer
         assert fn.__module__ == module.__name__, layer
+
+
+def test_benchmark_reads_only_exported_names():
+    reads = _bench_reads()
+    # the collector sees the workloads' calls into the transfer matrix
+    assert ("uniscat.xfermat", "scattering_coeffs") in reads
+    for module, name in sorted(reads):
+        assert name in importlib.import_module(module).__all__, f"{module}.{name}"

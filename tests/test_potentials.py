@@ -15,7 +15,7 @@ from uniscat import (
     random_smooth_potential,
     sample_potential,
 )
-from uniscat.potentials import _gl_rule
+from uniscat.potentials import QUAD_NODES, _gl_rule
 
 
 def _brute_ft_2d(v, kx, ky, nx=260, ny=260):
@@ -82,7 +82,6 @@ def test_transverse_ft_quadrature_route_agrees_with_terms():
         x_support=v.x_support,
         y_support=v.y_support,
         value_fn=v.value_fn,
-        quad_nodes=220,
     )
     q = np.array([-2.0, 1.0, 5.0])
     for x in (0.35, 0.7):
@@ -149,7 +148,7 @@ def test_tensor_grid_values_equal_the_pointwise_values(samples):
     assert copy.tensor_fn is not None and v.tensor_fn is None
     # the 65 nodes of the sixth 32-slice chunk of a 400-slice evolution
     x = np.linspace(*copy.x_support, 801)[320:385]
-    yn, _ = _gl_rule(copy.quad_nodes, *copy.y_support)
+    yn, _ = _gl_rule(QUAD_NODES, *copy.y_support)
     want = copy.value(x[:, None], yn)
     assert np.array_equal(copy.tensor_fn(x, yn), want)
 
@@ -204,7 +203,6 @@ def test_separable_3d_box_ft_by_quadrature():
         y_support=(0.0, 1.0),
         z_support=(0.0, 1.0),
         value_fn=value_fn,
-        quad_nodes=80,
     )
 
     def sine_ft(q):

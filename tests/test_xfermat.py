@@ -22,8 +22,6 @@ from uniscat import (
     SpectralSingularityWarning,
     TransferOperator,
     WaveContext,
-    amplitude_table,
-    amplitude_table_from_operator,
     born_operator,
     born_t_2d,
     build_potential_2d,
@@ -107,7 +105,6 @@ def test_kernel_is_the_public_transverse_transform():
         x_support=v.x_support,
         y_support=v.y_support,
         value_fn=v.value_fn,
-        quad_nodes=64,
     )
     grid = gauss_grid(15, CTX)
     n, p, w = grid.n, grid.nodes, grid.omegas
@@ -273,6 +270,14 @@ def test_scattering_coeffs_wiring():
     minus_r, plus_r = scattering_coeffs(op, "right")
     assert np.all(minus_r.a == 0.0)
     assert np.array_equal(plus_r.b, d)
+    for side, (lo, hi) in (("left", (minus, plus)), ("right", (minus_r, plus_r))):
+        # both pairs lie on one solution: M maps the -inf pair to the +inf one
+        got = op.matrix @ np.concatenate([lo.a, lo.b])
+        want = np.concatenate([hi.a, hi.b])
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        # and every T-function is outgoing minus incoming
+        assert np.array_equal(tabs[f"{side}_plus"].values, hi.a - lo.a)
+        assert np.array_equal(tabs[f"{side}_minus"].values, lo.b - hi.b)
 
 
 def test_reciprocity_predicate_for_a_generic_potential():
@@ -342,17 +347,6 @@ def test_default_slice_count():
     assert default_slices(_zero_potential(), slow) == 50
     op = evolve_transfer(v, grid)
     assert op.slices == 400
-
-
-def test_amplitude_table_from_operator_weak_limit():
-    v = _constructed(g0=1e-4)
-    grid = gauss_grid(41, CTX)
-    op = evolve_transfer(v, grid, slices=200)
-    table = amplitude_table_from_operator(op, "left")
-    assert table.method == "xfermat"
-    assert np.all(np.diff(table.thetas) > 0.0)
-    born = amplitude_table(v, "left", table.thetas, method="born")
-    assert np.max(np.abs(table.values - born.values)) < 1e-3 * np.max(np.abs(born.values))
 
 
 def test_solve_m22_is_a_linear_solve():
