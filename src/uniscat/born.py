@@ -49,7 +49,6 @@ __all__ = [
     "GRAZING_MARGIN",
     "AmplitudeTable",
     "born_t_values",
-    "born_t_2d",
     "born_f_2d",
     "born_t_3d",
     "born_f_3d",
@@ -94,14 +93,13 @@ class AmplitudeTable:
 
     thetas are measured from the incidence axis; the forward half for the
     left-incident wave is |theta| < pi/2, the backward half
-    pi/2 < theta < 3 pi/2.  `method` records which route produced the
-    values ("born" or "closed_form").
+    pi/2 < theta < 3 pi/2.  :func:`amplitude_table` fills it by either
+    route ("born" or "closed_form"); the table does not record which.
     """
 
     side: str
     thetas: np.ndarray
     values: np.ndarray
-    method: str
     ctx: WaveContext
 
     def __post_init__(self):
@@ -163,14 +161,6 @@ def born_t_values(v: PotentialSpec, side: str, sign: str, p, ctx: WaveContext = 
     kx = _shift_argument(ctx, side, sign, w)
     out = -1j * v.ft(kx, p) / (2.0 * w)
     return out if np.ndim(out) else complex(out)
-
-
-def born_t_2d(v: PotentialSpec, side: str, sign: str, grid: MomentumGrid) -> TransferTable:
-    """First-order T-function tabulated on a momentum grid."""
-    values = np.asarray(
-        born_t_values(v, side, sign, grid.nodes, ctx=grid.ctx), dtype=complex
-    )
-    return TransferTable(side=side, sign=sign, grid=grid, values=values)
 
 
 def born_f_2d(v: PotentialSpec, side: str, theta, ctx: WaveContext = None):
@@ -330,9 +320,7 @@ def amplitude_table(
         values = np.asarray(closed_form_f_left(v.params, thetas), dtype=complex)
     else:
         raise ValueError(f"unknown amplitude method {method!r}")
-    return AmplitudeTable(
-        side=side, thetas=thetas, values=values, method=method, ctx=ctx
-    )
+    return AmplitudeTable(side=side, thetas=thetas, values=values, ctx=ctx)
 
 
 def _ctx_of(v: PotentialSpec) -> WaveContext:

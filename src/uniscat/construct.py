@@ -309,11 +309,9 @@ def build_potential_2d(params: ConstructionParams) -> PotentialSpec:
     terms = []
     for n in (0, params.ell, params.m):
 
+        # no support mask: the program evaluates fx inside the support only
         def fx(x, n=n):
-            x = np.asarray(x, dtype=float)
-            return np.where(
-                (x >= 0.0) & (x <= a), np.exp(1j * n * K * x), 0.0
-            )
+            return np.exp(1j * n * K * x)
 
         def fy_ft(q, n=n):
             return fourier_coeff_ft(params, n, q)

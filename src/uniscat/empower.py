@@ -21,6 +21,9 @@ du(y) = (1 + cos theta) xi over the screen,
 
     dP_screen(s) = (1 / s) int_{-s/2}^{s/2} du dy,   r = sqrt(d^2 + y^2).
 
+One xi kernel serves :func:`xi` and the screen integrand, which takes the
+phase as k y^2 / (r + d) = k r (1 - cos theta) and 1 + cos theta as 1 + d/r.
+
 The phase k (r - d) oscillates fast for wide screens, so the integral is
 done with vectorized 15-point Gauss-Kronrod panels cut at pi/4 phase
 increments, bisected adaptively on the embedded 7-point error estimate.
@@ -53,7 +56,6 @@ __all__ = [
     "SparseArcWarning",
     "total_power_changes",
     "xi",
-    "delta_u_S",
     "screen_power",
     "screen_power_oracle",
     "fig2_curves",
@@ -203,36 +205,28 @@ def _resolve_amplitude(source):
     )
 
 
+def _xi(fn, k, r, theta, phase):
+    """The one xi kernel, given its phase k r (1 - cos theta) precomputed."""
+    pref = np.exp(1j * (phase + np.pi / 4.0)) / np.sqrt(k * r)
+    return np.real(pref * fn(theta))
+
+
 def xi(source, r, theta):
     """Interference profile Re[sqrt(i/(k r)) e^{i k r (1-cos theta)} f(theta)]."""
     fn, ctx = _resolve_amplitude(source)
     r = np.asarray(r, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    phase = ctx.k * r * (1.0 - np.cos(theta))
-    pref = np.exp(1j * np.pi / 4.0) / np.sqrt(ctx.k * r)
-    return np.real(pref * np.exp(1j * phase) * fn(theta))
-
-
-def delta_u_S(xi_value, theta):
-    """Pointwise observables built on xi: intensity change and Poynting change.
-
-    Returns (du, (Sx, Sy)) with du = (1 + cos theta) xi and
-    S = xi (1 + cos theta, sin theta); du is exactly the x-component.
-    """
-    xi_value = np.asarray(xi_value)
-    theta = np.asarray(theta, dtype=float)
-    du = (1.0 + np.cos(theta)) * xi_value
-    return du, (du, np.sin(theta) * xi_value)
+    return _xi(fn, ctx.k, r, theta, ctx.k * r * (1.0 - np.cos(theta)))
 
 
 def _screen_integrand(fn, k, d):
+    """y -> du(y) = (1 + cos theta) xi on a screen at distance d."""
+
     def integrand(y):
         r = np.hypot(d, y)
         # r - d = y^2 / (r + d) avoids cancellation at wide screens
         phase = k * (y * y / (r + d))
-        theta = np.arctan2(y, d)
-        pref = np.exp(1j * (phase + np.pi / 4.0)) / np.sqrt(k * r)
-        return (1.0 + d / r) * np.real(pref * fn(theta))
+        return (1.0 + d / r) * _xi(fn, k, r, np.arctan2(y, d), phase)
 
     return integrand
 

@@ -31,7 +31,6 @@ __all__ = [
     "MomentumGrid",
     "gauss_grid",
     "omega",
-    "p_plus_minus",
     "delta_vector",
 ]
 
@@ -59,17 +58,6 @@ def omega(p, ctx: WaveContext):
         raise ValueError(f"|p| must stay below k = {ctx.k}; got max |p| = {np.max(np.abs(p))}")
     w = np.sqrt(ctx.k**2 - p**2)
     return w if w.ndim else float(w)
-
-
-def p_plus_minus(p, ctx: WaveContext):
-    """Longitudinal Fourier offsets p_pm(p) = k +/- omega(p), as a (plus, minus) pair.
-
-    These are the only longitudinal frequencies the first-order scattering
-    amplitudes probe; p_plus p_minus = p^2 and p_plus + p_minus = 2k
-    identically.
-    """
-    w = omega(p, ctx)
-    return ctx.k + w, ctx.k - w
 
 
 @dataclass(frozen=True)

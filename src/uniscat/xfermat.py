@@ -53,8 +53,9 @@ precise form and are used as checks:
   the generator satisfies H^T S + S H = 0 identically, so the exactly
   evolved M obeys M^T S M = S and the numerical one obeys it to the
   integrator's order (4th in the slice count);
-* the associated conserved current gives transmission reciprocity,
-  T^l_+(0) = T^r_-(0), for every potential.
+* the conserved current is S applied to two solutions, j = (-i / pi)
+  (A1, B1)^T S (A2, B2), equal at both side limits; for the left- and
+  right-incident pair that is transmission reciprocity T^l_+(0) = T^r_-(0).
 
 Incident plane waves are the grid delta d = 2 pi / w_j0 at the center
 node.  An incident solution fixes the incoming coefficients A_- and B_+
@@ -177,14 +178,12 @@ class AsymptoticCoeffs:
 
     a: np.ndarray
     b: np.ndarray
-    side_limit: str  # "minus_inf" | "plus_inf"
 
 
 @dataclass(frozen=True)
 class CurrentSample:
     """The conserved bilinear current evaluated at one side limit."""
 
-    side_limit: str
     value: complex
 
 
@@ -330,8 +329,8 @@ def scattering_coeffs(op: TransferOperator, side: str):
     b_minus = op.solve_m22(b_plus - op.m21 @ a_minus)
     a_plus = op.m11 @ a_minus + op.m12 @ b_minus
     return (
-        AsymptoticCoeffs(a=a_minus, b=b_minus, side_limit="minus_inf"),
-        AsymptoticCoeffs(a=a_plus, b=b_plus, side_limit="plus_inf"),
+        AsymptoticCoeffs(a=a_minus, b=b_minus),
+        AsymptoticCoeffs(a=a_plus, b=b_plus),
     )
 
 
@@ -358,31 +357,6 @@ def transfer_tables(op: TransferOperator) -> dict:
     }
 
 
-def conserved_current(c1, c2, grid: MomentumGrid):
-    """The invariant bilinear current of two solutions at both side limits.
-
-    c1 and c2 are (minus_inf, plus_inf) pairs of AsymptoticCoeffs.  The
-    current at a limit is
-
-        j = (-i / pi) sum_j w_j omega_j [ A1(-p_j) B2(p_j) - B1(-p_j) A2(p_j) ],
-
-    with the p -> -p flip realized by index reversal; incident deltas square
-    against each other through the grid weights (that regularization is what
-    makes the distributional product meaningful here).  Equality of the two
-    returned samples is the conservation law; for the left/right incident
-    pair it is literally transmission reciprocity T^l_+(0) = T^r_-(0).
-    """
-    out = []
-    for one, two in zip(c1, c2):
-        if one.side_limit != two.side_limit:
-            raise ValueError("coefficient pairs must match side limits")
-        rev = grid.reversal()
-        delta = one.a[rev] * two.b - one.b[rev] * two.a
-        val = (-1j / np.pi) * np.sum(grid.weights * grid.omegas * delta)
-        out.append(CurrentSample(side_limit=one.side_limit, value=complex(val)))
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # structure checks
 
@@ -396,6 +370,28 @@ def _symplectic_form(grid: MomentumGrid) -> np.ndarray:
     s[:n, n:] = pd
     s[n:, :n] = -pd
     return s
+
+
+def conserved_current(c1, c2, grid: MomentumGrid):
+    """The conserved bilinear current of two solutions at both side limits.
+
+    c1 and c2 are (-inf, +inf) pairs of AsymptoticCoeffs from
+    :func:`scattering_coeffs`.  At each limit j is the symplectic form S of
+    :func:`check_symplectic` applied to the two solutions,
+
+        j = (-i / pi) (A1, B1)^T S (A2, B2),
+
+    so M^T S M = S makes the two samples equal.  Incident deltas square
+    against each other through the grid weights in S.  For the left/right
+    incident pair j(-inf) = -2ik (T^r_-(0) + d(0)) and j(+inf) =
+    -2ik (T^l_+(0) + d(0)): the conservation law is transmission reciprocity.
+    """
+    s = _symplectic_form(grid)
+    out = []
+    for one, two in zip(c1, c2):
+        u1, u2 = np.concatenate([one.a, one.b]), np.concatenate([two.a, two.b])
+        out.append(CurrentSample(value=complex((-1j / np.pi) * (u1 @ s @ u2))))
+    return tuple(out)
 
 
 def check_symplectic(op: TransferOperator) -> float:

@@ -14,14 +14,12 @@ from uniscat import (
     amplitude_table,
     born_f_2d,
     born_f_3d,
-    born_t_2d,
     born_t_3d,
     born_t_values,
     build_potential_2d,
     build_potential_3d,
     closed_form_f_left,
     closed_form_t_left,
-    gauss_grid,
     gaussian_envelope,
     quartic_envelope,
     random_smooth_potential,
@@ -117,17 +115,6 @@ def test_amplitude_from_t_normalization():
     assert got == pytest.approx(-1j / np.sqrt(2.0 * np.pi), rel=1e-15)
 
 
-def test_born_t_2d_tabulates_on_the_grid():
-    v = random_smooth_potential(31)
-    grid = gauss_grid(21, WaveContext(k=K4))
-    table = born_t_2d(v, "left", "plus", grid)
-    assert table.side == "left" and table.sign == "plus"
-    assert table.values.shape == (21,)
-    assert table.sup == np.max(np.abs(table.values))
-    direct = born_t_values(v, "left", "plus", grid.nodes, ctx=grid.ctx)
-    assert np.array_equal(table.values, np.asarray(direct))
-
-
 def test_grazing_guards():
     v = build_potential_2d(_construction())
     with pytest.raises(ValueError):
@@ -162,7 +149,6 @@ def test_amplitude_table_round_trip_and_validation():
             side="left",
             thetas=np.array([0.0, np.pi / 2]),
             values=np.zeros(2, dtype=complex),
-            method="born",
             ctx=params.ctx,
         )
 

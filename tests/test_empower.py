@@ -17,7 +17,6 @@ from uniscat import (
     amplitude_table,
     build_potential_2d,
     closed_form_f_left,
-    delta_u_S,
     fig2_curves,
     gaussian_envelope,
     quartic_envelope,
@@ -54,7 +53,6 @@ def _flat_table(side, value, n=801):
         side=side,
         thetas=th,
         values=np.full(th.shape, value, dtype=complex),
-        method="born",
         ctx=CTX,
     )
 
@@ -105,7 +103,7 @@ def test_side_order_is_enforced():
 def test_sparse_arc_warning():
     th = np.concatenate([np.linspace(-1.5, 1.5, 9), np.linspace(np.pi - 1.5, np.pi + 1.5, 40)])
     table = AmplitudeTable(
-        side="left", thetas=th, values=np.ones(th.shape, complex), method="born", ctx=CTX
+        side="left", thetas=th, values=np.ones(th.shape, complex), ctx=CTX
     )
     with pytest.warns(SparseArcWarning):
         total_power_changes(table, _flat_table("right", 0.0))
@@ -148,16 +146,12 @@ def test_xi_accepts_the_construction_directly():
     assert xi(params, r, th) == pytest.approx(want, rel=1e-14)
     with pytest.raises(TypeError):
         xi("not a source", 1.0, 0.0)
-
-
-def test_pointwise_screen_observables():
-    theta = np.array([0.0, 0.3, -0.9])
-    xival = np.array([0.5, -0.2, 0.1])
-    du, (sx, sy) = delta_u_S(xival, theta)
-    assert np.array_equal(du, (1.0 + np.cos(theta)) * xival)
-    assert np.array_equal(du, sx)  # the intensity change is the axial flux
-    assert np.array_equal(sy, np.sin(theta) * xival)
-    assert du[0] == 2.0 * xival[0] and sy[0] == 0.0
+    # the screen integrand is du = (1 + cos theta) xi at r = hypot(d, y)
+    d, y = 100.0, np.array([-37.0, -4.5, 0.0, 0.8, 12.0, 49.9])
+    integrand = _screen_integrand(lambda t: closed_form_f_left(params, t), params.ctx.k, d)
+    r, th = np.hypot(d, y), np.arctan2(y, d)
+    want = (1.0 + np.cos(th)) * xi(params, r, th)
+    assert np.max(np.abs(integrand(y) - want)) < 1e-12 * np.max(np.abs(want))
 
 
 def test_screen_power_against_the_independent_rule():

@@ -11,7 +11,6 @@ from uniscat import (
     delta_vector,
     gauss_grid,
     omega,
-    p_plus_minus,
 )
 
 SQRT35 = np.sqrt(3.0 / 5.0)
@@ -36,16 +35,6 @@ def test_omega_rejects_evanescent_momenta():
         omega(2.0, ctx)
     with pytest.raises(ValueError):
         omega(np.array([0.0, 1.0, -2.5]), ctx)
-
-
-def test_p_plus_minus_identities():
-    ctx = WaveContext(k=4 * np.pi)
-    p = np.linspace(-0.99, 0.99, 23) * ctx.k
-    plus, minus = p_plus_minus(p, ctx)
-    assert np.allclose(plus + minus, 2.0 * ctx.k, rtol=1e-14)
-    assert np.allclose(plus * minus, p**2, rtol=1e-12, atol=1e-12)
-    assert np.all(plus > 0.0)
-    assert np.all(minus >= 0.0)
 
 
 def test_gauss_grid_three_node_rule():
