@@ -81,8 +81,8 @@ def parse_k(text) -> float:
     return float(s)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+# 17 significant digits round-trip every float64
+_VALUE = "{:.17g}"
 
 
 def _echo_cfg(config) -> dict:
@@ -140,15 +140,15 @@ def _write_table(path, config, columns, rows, fmt):
             {
                 "config": _echo_cfg(config),
                 "columns": list(columns),
-                "rows": [[_fmt(x) for x in row] for row in rows],
+                "rows": [[_VALUE.format(x) for x in row] for row in rows.tolist()],
             },
         )
         return
+    line = ",".join([_VALUE] * len(columns)) + "\n"
     with _open_out(path) as fh:
         fh.write("# " + json.dumps(_echo_cfg(config), sort_keys=True) + "\n")
         fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+        fh.write((line * rows.shape[0]).format(*rows.ravel().tolist()))
 
 
 def read_table(path):

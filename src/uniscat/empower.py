@@ -21,18 +21,22 @@ du(y) = (1 + cos theta) xi over the screen,
 
     dP_screen(s) = (1 / s) int_{-s/2}^{s/2} du dy,   r = sqrt(d^2 + y^2).
 
-One xi kernel serves :func:`xi` and the screen integrand, which takes the
-phase as k y^2 / (r + d) = k r (1 - cos theta) and 1 + cos theta as 1 + d/r.
+One xi kernel serves :func:`xi` and the screen integrand.  Both write the
+phase k r (1 - cos theta) without cancellation: :func:`xi` as
+2 k r sin^2(theta / 2), the screen integrand as k y^2 / (r + d), which also
+takes 1 + cos theta as 1 + d/r.
 
 The phase k (r - d) oscillates fast for wide screens, so the integral is
 done with vectorized 15-point Gauss-Kronrod panels cut at pi/4 phase
 increments, bisected adaptively on the embedded 7-point error estimate.
 The cuts do not depend on s, so a sweep over widths (:func:`fig2_curves`)
-evaluates the panels between cuts once for all widths, plus two end
-panels per width, in one integrand call; :func:`screen_power` is the
-one-width case of the same pass.  A non-adaptive composite Gauss-Legendre
-rule on an unrelated node set acts as the independent cross-check
-(:func:`screen_power_oracle`).
+evaluates the panels between cuts once for all widths, as left/right pairs
+from the centre outward, plus two end panels per width, in one integrand
+call.  Prefix sums over the pairs then give every width's sum and error
+estimate at once, and only widths over their error budget are refined, one
+by one.  :func:`screen_power` is the one-width case of the same pass.  A
+non-adaptive composite Gauss-Legendre rule on an unrelated node set acts as
+the independent cross-check (:func:`screen_power_oracle`).
 """
 
 from __future__ import annotations
@@ -216,7 +220,8 @@ def xi(source, r, theta):
     fn, ctx = _resolve_amplitude(source)
     r = np.asarray(r, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    return _xi(fn, ctx.k, r, theta, ctx.k * r * (1.0 - np.cos(theta)))
+    # 1 - cos theta = 2 sin^2(theta / 2) avoids cancellation near theta = 0
+    return _xi(fn, ctx.k, r, theta, 2.0 * ctx.k * r * np.sin(0.5 * theta) ** 2)
 
 
 def _screen_integrand(fn, k, d):
@@ -252,18 +257,22 @@ def _screen_sweep(source, d, s_values) -> np.ndarray:
     """dP_screen at every width of s_values, from one shared set of panels.
 
     A width s is cut at the pi/4 phase increments c_1 < c_2 < ... of
-    k (r - d) below s/2 (c_0 = 0), giving the panels
+    k (r - d) below s/2 (c_0 = 0).  With n such cuts it has the whole
+    panels L_j = [-c_j, -c_{j-1}] and R_j = [c_{j-1}, c_j] for j = 1 .. n,
+    paired from the centre outward, and the end panels [-s/2, -c_n] and
+    [c_n, s/2].  The cuts do not depend on s, so a narrower screen's pairs
+    are a prefix of the widest screen's.  Every pair and the two end panels
+    of every width go through the integrand in one batch, and with the
+    prefix sums P[n] = sum_{j <= n} (L_j + R_j) (P[0] = 0) each width
+    reads (left end + P[n]) + right end, for its sum and for its error
+    estimate alike, all widths at once.  A prefix of length n does not
+    depend on the widest width and panel sums do not depend on their batch,
+    so every width gets the same value as a sweep of that width alone.
 
-        [-s/2, -c_n], [-c_n, -c_{n-1}], ..., [-c_1, 0], [0, c_1], ..., [c_n, s/2].
-
-    The cuts do not depend on s, so those of a narrower screen are a prefix
-    of the widest screen's.  The whole panels between consecutive cuts and
-    the two end panels of every width go through the integrand in one
-    batch; each width then takes its panels in the order above and is
-    refined on its own, bisecting wherever the embedded Gauss rule
-    disagrees with the Kronrod one until the summed error estimate drops
-    below SCREEN_ABS_TOL * s.  Panel sums are batch-independent, so every
-    width gets the same value as a sweep of that width alone.
+    Only widths whose summed error estimate exceeds SCREEN_ABS_TOL * s are
+    refined, each on its own from the same panels: bisect wherever the
+    embedded Gauss rule disagrees with the Kronrod one until the summed
+    estimate drops below the budget.
     """
     fn, ctx = _resolve_amplitude(source)
     k = ctx.k
@@ -276,17 +285,22 @@ def _screen_sweep(source, d, s_values) -> np.ndarray:
     cuts = np.concatenate([[0.0], np.sqrt(rad * rad - d * d)])
     used = np.minimum(n_cuts, np.searchsorted(cuts[1:], half))
     edges = cuts[: used.max(initial=0) + 1]
-    rev, whole = edges[::-1], edges.size - 1
-    # [whole panels, left to right | left ends | right ends]; the whole panels
-    # of a width with n cuts are then the slice whole - n : whole + n
-    lo_all = np.concatenate([-rev[:-1], edges[:-1], -half, edges[used]])
-    hi_all = np.concatenate([-rev[1:], edges[1:], -edges[used], half])
+    whole, n_s = edges.size - 1, s_values.size
+    # [L_1 .. L_whole | R_1 .. R_whole | left ends | right ends]
+    lo_all = np.concatenate([-edges[1:], edges[:-1], -half, edges[used]])
+    hi_all = np.concatenate([-edges[:-1], edges[1:], -edges[used], half])
     total_all, err_all = _gk_panels(integrand, lo_all, hi_all)
-    out = np.empty(s_values.size)
-    for i, (s, n) in enumerate(zip(s_values, used)):
-        idx = np.r_[2 * whole + i, whole - n : whole + n, 2 * whole + s_values.size + i]
+
+    def per_width(x):
+        pairs = np.cumsum(np.concatenate([[0.0], x[:whole] + x[whole : 2 * whole]]))
+        return (x[2 * whole : 2 * whole + n_s] + pairs[used]) + x[2 * whole + n_s :]
+
+    out = per_width(total_all) / s_values
+    budgets = SCREEN_ABS_TOL * s_values
+    for i in np.flatnonzero(per_width(err_all) > budgets):
+        n, budget = used[i], budgets[i]
+        idx = np.r_[2 * whole + i, :n, whole : whole + n, 2 * whole + n_s + i]
         lo, hi, total, err = lo_all[idx], hi_all[idx], total_all[idx], err_all[idx]
-        budget = SCREEN_ABS_TOL * s
         for _ in range(SCREEN_MAX_DEPTH):
             if float(np.sum(err)) <= budget:
                 break
@@ -306,7 +320,7 @@ def _screen_sweep(source, d, s_values) -> np.ndarray:
                 UserWarning,
                 stacklevel=3,  # the caller of screen_power or fig2_curves
             )
-        out[i] = np.sum(total) / s
+        out[i] = np.sum(total) / s_values[i]
     return out
 
 

@@ -334,6 +334,12 @@ def scattering_coeffs(op: TransferOperator, side: str):
     )
 
 
+def _t_table(op: TransferOperator, side: str, sign: str, coeffs) -> TransferTable:
+    minus, plus = coeffs
+    values = plus.a - minus.a if sign == "plus" else minus.b - plus.b
+    return TransferTable(side=side, sign=sign, grid=op.grid, values=values)
+
+
 def extract_t(op: TransferOperator, side: str, sign: str) -> TransferTable:
     """T_side_sign on the grid nodes: outgoing minus incoming coefficients
     of the incident solution (see :func:`scattering_coeffs`),
@@ -343,18 +349,20 @@ def extract_t(op: TransferOperator, side: str, sign: str) -> TransferTable:
     on either side.
     """
     _check_side_sign(side, sign)
-    minus, plus = scattering_coeffs(op, side)
-    values = plus.a - minus.a if sign == "plus" else minus.b - plus.b
-    return TransferTable(side=side, sign=sign, grid=op.grid, values=values)
+    return _t_table(op, side, sign, scattering_coeffs(op, side))
 
 
 def transfer_tables(op: TransferOperator) -> dict:
-    """All four T-functions, keyed 'left_plus', 'left_minus', ...."""
-    return {
-        f"{side}_{sign}": extract_t(op, side, sign)
-        for side in ("left", "right")
-        for sign in ("plus", "minus")
-    }
+    """All four T-functions, keyed 'left_plus', 'left_minus', ....
+
+    One M22 solve per side serves both of its signs.
+    """
+    tables = {}
+    for side in ("left", "right"):
+        coeffs = scattering_coeffs(op, side)
+        for sign in ("plus", "minus"):
+            tables[f"{side}_{sign}"] = _t_table(op, side, sign, coeffs)
+    return tables
 
 
 # ---------------------------------------------------------------------------

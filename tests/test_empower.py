@@ -139,19 +139,23 @@ def test_xi_accepts_the_construction_directly():
     params = _params()
     r, th = 50.0, 0.4
     want = np.real(
-        np.exp(1j * (np.pi / 4.0 + params.ctx.k * r * (1.0 - np.cos(th))))
+        np.exp(1j * (np.pi / 4.0 + 2.0 * params.ctx.k * r * np.sin(0.5 * th) ** 2))
         / np.sqrt(params.ctx.k * r)
         * closed_form_f_left(params, th)
     )
     assert xi(params, r, th) == pytest.approx(want, rel=1e-14)
     with pytest.raises(TypeError):
         xi("not a source", 1.0, 0.0)
-    # the screen integrand is du = (1 + cos theta) xi at r = hypot(d, y)
-    d, y = 100.0, np.array([-37.0, -4.5, 0.0, 0.8, 12.0, 49.9])
-    integrand = _screen_integrand(lambda t: closed_form_f_left(params, t), params.ctx.k, d)
-    r, th = np.hypot(d, y), np.arctan2(y, d)
-    want = (1.0 + np.cos(th)) * xi(params, r, th)
-    assert np.max(np.abs(integrand(y) - want)) < 1e-12 * np.max(np.abs(want))
+    # the screen integrand is du = (1 + cos theta) xi at r = hypot(d, y); both
+    # phases are free of cancellation, so they agree at far screens too
+    y = np.array([-37.0, -4.5, 0.0, 0.8, 12.0, 49.9])
+    for d, scale, tol in ((100.0, 1.0, 1e-12), (1e4, 100.0, 2e-12)):
+        integrand = _screen_integrand(
+            lambda t: closed_form_f_left(params, t), params.ctx.k, d
+        )
+        r, th = np.hypot(d, scale * y), np.arctan2(scale * y, d)
+        want = (1.0 + np.cos(th)) * xi(params, r, th)
+        assert np.max(np.abs(integrand(scale * y) - want)) < tol * np.max(np.abs(want))
 
 
 def test_screen_power_against_the_independent_rule():
@@ -235,8 +239,31 @@ def test_sweep_panels_are_the_per_width_phase_cuts(k, d):
     want = []
     for s in widths:
         edges = _per_width_phase_cut_edges(k, d, s)
-        want.append(np.sum(_gk_panels(integrand, edges[:-1], edges[1:])[0]) / s)
-    assert np.array_equal(_screen_sweep(params, d, widths), want)
+        k15 = _gk_panels(integrand, edges[:-1], edges[1:])[0]
+        # summed as pairs L_j + R_j from the centre outward, then the end panels
+        n = (k15.size - 2) // 2
+        pairs = k15[n:0:-1] + k15[n + 1 : 2 * n + 1]
+        want.append((k15[0] + np.cumsum(np.r_[0.0, pairs])[-1]) + k15[-1])
+    assert np.array_equal(_screen_sweep(params, d, widths), np.array(want) / widths)
+
+
+def _counting_gk_panels(monkeypatch):
+    """Patch empower._gk_panels to record the size of every batch."""
+    batches = []
+
+    def counting(fn_y, lo, hi):
+        batches.append(np.size(lo))
+        return _gk_panels(fn_y, lo, hi)
+
+    monkeypatch.setattr(empower, "_gk_panels", counting)
+    return batches
+
+
+def test_default_fig2_curve_is_one_integrand_batch(monkeypatch):
+    batches = _counting_gk_panels(monkeypatch)
+    curves = fig2_curves()
+    assert len(curves) == 4 and all(c.s_values.size == 400 for c in curves)
+    assert len(batches) == len(curves)
 
 
 @pytest.mark.parametrize("k", [2 * np.pi, 12 * np.pi])
@@ -253,19 +280,29 @@ def test_refined_sweep_equals_per_width_screen_power_and_the_oracle(monkeypatch)
         ell=-1, m=1, envelope=gaussian_envelope(1e-2, 1.0), ctx=CTX, slab=1.0
     )
     widths = [1.0, 10.0, 100.0]
-    batches = []
-
-    def counting(fn_y, lo, hi):
-        batches.append(np.size(lo))
-        return _gk_panels(fn_y, lo, hi)
-
-    monkeypatch.setattr(empower, "_gk_panels", counting)
+    batches = _counting_gk_panels(monkeypatch)
     swept = _screen_sweep(params, 1.0, widths)
     assert len(batches) > 1  # the adaptive bisection ran
     screens = [ScreenSpec(d=1.0, s=w) for w in widths]
     assert np.array_equal(swept, [screen_power(params, sc) for sc in screens])
     oracle = np.array([screen_power_oracle(params, sc) for sc in screens])
     assert np.max(np.abs(swept - oracle)) <= 1e-9 * np.max(np.abs(swept))
+
+
+def test_sweep_mixing_refined_and_plain_widths_equals_per_width_screen_power(monkeypatch):
+    params = ConstructionParams(
+        ell=-1, m=1, envelope=gaussian_envelope(1e-2, 1.0), ctx=CTX, slab=1.0
+    )
+    widths = [0.05, 0.1, 1.0, 10.0, 0.2, 40.0]
+    batches = _counting_gk_panels(monkeypatch)
+    refines = []
+    for w in widths:
+        batches.clear()
+        screen_power(params, ScreenSpec(d=1.0, s=w))
+        refines.append(len(batches) > 1)
+    assert any(refines) and not all(refines)
+    swept = _screen_sweep(params, 1.0, widths)
+    assert np.array_equal(swept, [screen_power(params, ScreenSpec(d=1.0, s=w)) for w in widths])
 
 
 def test_refinement_depth_warning(monkeypatch):

@@ -364,6 +364,26 @@ def test_solve_m22_is_a_linear_solve():
     assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
 
+def test_classify_makes_one_m22_solve_per_side(monkeypatch):
+    v = random_smooth_potential(3)
+    grid = gauss_grid(15, CTX)
+    op = evolve_transfer(v, grid, slices=100)
+    solves = []
+    plain = TransferOperator.solve_m22
+
+    def counting(self, rhs):
+        solves.append(rhs)
+        return plain(self, rhs)
+
+    monkeypatch.setattr(TransferOperator, "solve_m22", counting)
+    xfermat.classify(op, 1e-6)
+    assert len(solves) == 2
+    # the shared solve gives each table the bits of its own extract_t
+    for key, table in transfer_tables(op).items():
+        side, sign = key.split("_")
+        assert np.array_equal(table.values, extract_t(op, side, sign).values)
+
+
 def test_operator_export_layout():
     v = _constructed()
     grid = gauss_grid(9, CTX)
