@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import contextmanager
 from functools import cache
@@ -307,8 +308,6 @@ def _cmd_fig2(cfg) -> int:
         ell=int(cfg["ell"]),
         m=int(cfg["m"]),
     )
-    import os
-
     os.makedirs(cfg["out_dir"], exist_ok=True)
     files = {}
     for curve in curves:

@@ -45,7 +45,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import simpson
+from numpy.polynomial.legendre import leggauss
 
 from .born import AmplitudeTable, closed_form_f_left
 from .construct import ConstructionParams
@@ -164,6 +164,8 @@ class PowerCurve:
 
 
 def _arc_integral(table: AmplitudeTable, forward: bool) -> float:
+    from scipy.integrate import simpson
+
     th = np.mod(table.thetas + np.pi / 2.0, 2.0 * np.pi) - np.pi / 2.0
     mask = (th < np.pi / 2.0) if forward else (th >= np.pi / 2.0)
     if np.count_nonzero(mask) < 17:
@@ -344,8 +346,6 @@ def screen_power_oracle(source, screen: ScreenSpec) -> float:
     ORACLE_NODES_PER_PANEL-point rule on each; independent of the Kronrod
     machinery in :func:`screen_power`.
     """
-    from numpy.polynomial.legendre import leggauss
-
     fn, ctx = _resolve_amplitude(source)
     integrand = _screen_integrand(fn, ctx.k, screen.d)
     half = 0.5 * screen.s

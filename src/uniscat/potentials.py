@@ -39,7 +39,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.interpolate import RectBivariateSpline
 
 __all__ = [
     "SeparableTerm",
@@ -247,6 +246,8 @@ def potential_from_samples(x, y, values) -> PotentialSpec:
     The splines also serve ``tensor_fn``, their tensor-grid evaluation, which
     the transverse quadrature uses for sorted chunks of x-nodes.
     """
+    from scipy.interpolate import RectBivariateSpline
+
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     values = np.asarray(values, dtype=complex)

@@ -74,7 +74,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .born import TransferTable, _check_side_sign
 from .grids import MomentumGrid, delta_vector
@@ -154,6 +153,8 @@ class TransferOperator:
 
     @cached_property
     def _m22_lu(self):
+        from scipy.linalg import lu_factor
+
         return lu_factor(self.m22)
 
     @cached_property
@@ -161,6 +162,8 @@ class TransferOperator:
         return float(np.linalg.cond(self.m22))
 
     def solve_m22(self, rhs):
+        from scipy.linalg import lu_solve
+
         if self.m22_condition > SPECTRAL_COND_LIMIT:
             warnings.warn(
                 f"M22 condition {self.m22_condition:.3g} exceeds "

@@ -3,10 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import uniscat
 from uniscat import (
     ConstructionParams,
     WaveContext,
@@ -176,6 +182,32 @@ def test_fig2_writes_manifest(tmp_path, capsys):
     assert config["d"] == 100.0
     assert config["k"] == 4 * np.pi
     assert "ks" not in config
+
+
+def test_import_construct_and_fig2_load_no_scipy(tmp_path):
+    # SciPy costs most of a fresh command's start-up, and construct and fig2
+    # call none of it: the modules that do need it import it at the call.
+    # A fresh interpreter is the only place where a top-level import shows.
+    script = textwrap.dedent(
+        f"""
+        import sys
+        import uniscat
+        from uniscat.cli import main
+        out = {str(tmp_path)!r}
+        assert main(["construct", "--nx", "5", "--ny", "5", "--out", out + "/v.csv"]) == 0
+        assert main(["fig2", "--samples", "8", "--ks", "2pi", "--out-dir", out]) == 0
+        print(sorted(m for m in sys.modules if m.startswith("scipy")))
+        """
+    )
+    src = str(Path(uniscat.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    run = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[]", run.stdout
 
 
 def test_config_file_layering(tmp_path):

@@ -11,12 +11,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
 
-from uniscat import (
-    Envelope,
-    gaussian_envelope,
-    quartic_envelope,
-    tabulated_envelope,
-)
+from uniscat import Envelope, gaussian_envelope, quartic_envelope
 
 
 def _ft_quadrature(env, q, n=400):
@@ -105,26 +100,6 @@ def test_gaussian_support_window_is_negligible():
     assert abs(env.value(hi)) < 1e-13
 
 
-def test_tabulated_envelope_tracks_its_samples():
-    y = np.linspace(0.0, 1.0, 41)
-    g = np.sin(np.pi * y) ** 2 * np.exp(0.3j * y)
-    env = tabulated_envelope(y, g)
-    assert np.allclose(env.value(y), g, atol=1e-14)
-    # spline interpolation error for a smooth profile on this grid
-    yy = np.linspace(0.0, 1.0, 173)
-    assert np.max(np.abs(env.value(yy) - np.sin(np.pi * yy) ** 2 * np.exp(0.3j * yy))) < 1e-5
-
-
-def test_tabulated_ft_matches_quadrature_of_the_spline():
-    y = np.linspace(-1.0, 1.0, 61)
-    g = np.exp(-4.0 * y**2) * (1.0 + 0.5j * y)
-    env = tabulated_envelope(y, g)
-    q = np.array([0.0, 1.5, -3.0])
-    got = env.ft(q)
-    want = _ft_quadrature(env, q, n=500)
-    assert np.max(np.abs(got - want)) < 1e-9
-
-
 def test_envelope_validation():
     with pytest.raises(ValueError):
         quartic_envelope(1.0, 0.0)
@@ -132,7 +107,3 @@ def test_envelope_validation():
         gaussian_envelope(1.0, -2.0)
     with pytest.raises(ValueError):
         Envelope(kind="triangle", g0=1.0, b=1.0)
-    with pytest.raises(ValueError):
-        tabulated_envelope(np.array([0.0, 1.0, 0.5]), np.zeros(3))
-    with pytest.raises(ValueError):
-        tabulated_envelope(np.array([0.0, 1.0]), np.zeros(2))
