@@ -37,7 +37,7 @@ screen-power observable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import partial
 
 import numpy as np
 
@@ -93,39 +93,23 @@ class AmplitudeTable:
 
     thetas are measured from the incidence axis; the forward half for the
     left-incident wave is |theta| < pi/2, the backward half
-    pi/2 < theta < 3 pi/2.  :func:`amplitude_table` fills it by either
-    route ("born" or "closed_form"); the table does not record which.
+    pi/2 < theta < 3 pi/2.  `forward` is f in the incident direction
+    (theta = 0 for the left side, pi for the right), which the extinction
+    term of the power budget reads.  :func:`amplitude_table` fills the
+    samples and `forward` by one route ("born" or "closed"); the table does
+    not record which.
     """
 
     side: str
     thetas: np.ndarray
     values: np.ndarray
-    ctx: WaveContext
+    forward: complex
 
     def __post_init__(self):
         if np.any(np.abs(np.cos(self.thetas)) < GRAZING_MARGIN):
             raise ValueError(
                 f"amplitude samples must keep |cos theta| >= {GRAZING_MARGIN}"
             )
-
-    @cached_property
-    def _splines(self):
-        from scipy.interpolate import CubicSpline
-
-        order = np.argsort(self.thetas)
-        th = self.thetas[order]
-        va = self.values[order]
-        return CubicSpline(th, va.real), CubicSpline(th, va.imag)
-
-    def interpolate(self, theta):
-        """Cubic interpolation of f at angles inside the sampled range."""
-        theta = np.asarray(theta, dtype=float)
-        th_min, th_max = np.min(self.thetas), np.max(self.thetas)
-        if np.any(theta < th_min) or np.any(theta > th_max):
-            raise ValueError("interpolation angle outside the sampled range")
-        sre, sim = self._splines
-        out = sre(theta) + 1j * sim(theta)
-        return out if out.ndim else complex(out)
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +260,7 @@ def _stable_phase_core(params: ConstructionParams, shift):
     nearer parenthesis goes through the stable series,
     (1 - e^{i t})/t = conj((1 - e^{-i t})/t) for real t.
     """
-    shift = np.atleast_1d(np.asarray(shift, dtype=float))
+    shift = np.asarray(shift, dtype=float)
     a, K = params.slab, params.K
     u1 = shift + params.ell * K
     u2 = shift + params.m * K
@@ -285,8 +269,7 @@ def _stable_phase_core(params: ConstructionParams, shift):
     other = np.where(pick1, u2, u1)
     # (1 - e^{i a shift})/u = (1 - e^{i a u})/u = a * conj(phase_over_offset(a u))
     ratio = a * np.conj(phase_over_offset(a * u))
-    out = ratio / other
-    return out
+    return ratio / other
 
 
 # ---------------------------------------------------------------------------
@@ -305,22 +288,31 @@ def amplitude_from_t(t_values, thetas, ctx: WaveContext):
 def amplitude_table(
     v: PotentialSpec, side: str, thetas, method="born", ctx: WaveContext = None
 ) -> AmplitudeTable:
-    """Sample a differential amplitude over angles into an AmplitudeTable."""
+    """Sample a differential amplitude over angles into an AmplitudeTable.
+
+    method "born" works for any 2D potential and side; "closed" is the
+    closed form of a constructed potential, left side only.
+    """
     _check_side_sign(side)
     ctx = ctx or _ctx_of(v)
     thetas = np.asarray(thetas, dtype=float)
     if method == "born":
-        values = np.asarray(born_f_2d(v, side, thetas, ctx=ctx), dtype=complex)
-    elif method == "closed_form":
+        f = partial(born_f_2d, v, side, ctx=ctx)
+    elif method == "closed":
         if side != "left" or not isinstance(v.params, ConstructionParams):
             raise ValueError(
-                "closed_form amplitudes exist for the left side of a "
+                "closed-form amplitudes exist for the left side of a "
                 "constructed potential only"
             )
-        values = np.asarray(closed_form_f_left(v.params, thetas), dtype=complex)
+        f = partial(closed_form_f_left, v.params)
     else:
         raise ValueError(f"unknown amplitude method {method!r}")
-    return AmplitudeTable(side=side, thetas=thetas, values=values, ctx=ctx)
+    return AmplitudeTable(
+        side=side,
+        thetas=thetas,
+        values=np.asarray(f(thetas), dtype=complex),
+        forward=f(0.0 if side == "left" else np.pi),
+    )
 
 
 def _ctx_of(v: PotentialSpec) -> WaveContext:

@@ -213,12 +213,7 @@ def _cmd_amplitude(cfg) -> int:
     if n < 2:
         raise ValueError(f"--thetas must be at least 2, got {n}")
     thetas = _thetas(n // 2 + n % 2, n // 2)
-    if cfg["method"] == "closed" and cfg["side"] != "left":
-        raise ValueError("the closed-form amplitude is left-incidence only")
-    method = {"born": "born", "closed": "closed_form"}.get(cfg["method"])
-    if method is None:
-        raise ValueError(f"--method must be born or closed, got {cfg['method']!r}")
-    table = amplitude_table(v, cfg["side"], thetas, method=method)
+    table = amplitude_table(v, cfg["side"], thetas, method=cfg["method"])
     rows = np.column_stack(
         [table.thetas, table.values.real, table.values.imag, np.abs(table.values)]
     )

@@ -21,7 +21,8 @@ du(y) = (1 + cos theta) xi over the screen,
 
     dP_screen(s) = (1 / s) int_{-s/2}^{s/2} du dy,   r = sqrt(d^2 + y^2).
 
-One xi kernel serves :func:`xi` and the screen integrand.  Both write the
+One xi kernel serves :func:`xi` and the screen integrand, and both take f
+as the closed-form left amplitude of a construction.  Both write the
 phase k r (1 - cos theta) without cancellation: :func:`xi` as
 2 k r sin^2(theta / 2), the screen integrand as k y^2 / (r + d), which also
 takes 1 + cos theta as 1 + d/r.
@@ -184,13 +185,13 @@ def _arc_integral(table: AmplitudeTable, forward: bool) -> float:
 def total_power_changes(f_left: AmplitudeTable, f_right: AmplitudeTable) -> PowerSummary:
     """Arc-resolved power changes from left- and right-incidence amplitudes.
 
-    The tables must cover both arcs and contain the forward directions
-    theta = 0 (left table) and theta = pi (right table) in range.
+    The tables must cover both arcs; the extinction terms read each table's
+    `forward` value, f at theta = 0 (left) and theta = pi (right).
     """
     if f_left.side != "left" or f_right.side != "right":
         raise ValueError("pass the left-incidence table first, right second")
-    ext_left = EXTINCTION_FACTOR * float(np.imag(f_left.interpolate(0.0)))
-    ext_right = EXTINCTION_FACTOR * float(np.imag(f_right.interpolate(np.pi)))
+    ext_left = EXTINCTION_FACTOR * float(np.imag(f_left.forward))
+    ext_right = EXTINCTION_FACTOR * float(np.imag(f_right.forward))
     return PowerSummary(
         left_backward=_arc_integral(f_left, forward=False),
         left_forward=_arc_integral(f_left, forward=True) - ext_left,
@@ -199,41 +200,41 @@ def total_power_changes(f_left: AmplitudeTable, f_right: AmplitudeTable) -> Powe
     )
 
 
-def _resolve_amplitude(source):
-    """(vectorized theta -> f, WaveContext) from a table or construction."""
-    if isinstance(source, AmplitudeTable):
-        return source.interpolate, source.ctx
-    if isinstance(source, ConstructionParams):
-        return (lambda th: closed_form_f_left(source, th)), source.ctx
-    raise TypeError(
-        "amplitude source must be an AmplitudeTable or ConstructionParams, "
-        f"got {type(source).__name__}"
-    )
+def _check_construction(params):
+    if not isinstance(params, ConstructionParams):
+        raise TypeError(
+            f"amplitude source must be ConstructionParams, got {type(params).__name__}"
+        )
 
 
-def _xi(fn, k, r, theta, phase):
+def _xi(params: ConstructionParams, r, theta, phase):
     """The one xi kernel, given its phase k r (1 - cos theta) precomputed."""
-    pref = np.exp(1j * (phase + np.pi / 4.0)) / np.sqrt(k * r)
-    return np.real(pref * fn(theta))
+    pref = np.exp(1j * (phase + np.pi / 4.0)) / np.sqrt(params.ctx.k * r)
+    return np.real(pref * closed_form_f_left(params, theta))
 
 
-def xi(source, r, theta):
-    """Interference profile Re[sqrt(i/(k r)) e^{i k r (1-cos theta)} f(theta)]."""
-    fn, ctx = _resolve_amplitude(source)
+def xi(params: ConstructionParams, r, theta):
+    """Interference profile Re[sqrt(i/(k r)) e^{i k r (1-cos theta)} f(theta)].
+
+    f is the closed-form left amplitude of the construction `params`.
+    """
+    _check_construction(params)
     r = np.asarray(r, dtype=float)
     theta = np.asarray(theta, dtype=float)
     # 1 - cos theta = 2 sin^2(theta / 2) avoids cancellation near theta = 0
-    return _xi(fn, ctx.k, r, theta, 2.0 * ctx.k * r * np.sin(0.5 * theta) ** 2)
+    return _xi(params, r, theta, 2.0 * params.ctx.k * r * np.sin(0.5 * theta) ** 2)
 
 
-def _screen_integrand(fn, k, d):
+def _screen_integrand(params: ConstructionParams, d):
     """y -> du(y) = (1 + cos theta) xi on a screen at distance d."""
+    _check_construction(params)
+    k = params.ctx.k
 
     def integrand(y):
         r = np.hypot(d, y)
         # r - d = y^2 / (r + d) avoids cancellation at wide screens
         phase = k * (y * y / (r + d))
-        return (1.0 + d / r) * _xi(fn, k, r, np.arctan2(y, d), phase)
+        return (1.0 + d / r) * _xi(params, r, np.arctan2(y, d), phase)
 
     return integrand
 
@@ -255,7 +256,7 @@ def _gk_panels(fn_y, lo, hi):
     return k15, np.abs(k15 - g7)
 
 
-def _screen_sweep(source, d, s_values) -> np.ndarray:
+def _screen_sweep(params: ConstructionParams, d, s_values) -> np.ndarray:
     """dP_screen at every width of s_values, from one shared set of panels.
 
     A width s is cut at the pi/4 phase increments c_1 < c_2 < ... of
@@ -276,9 +277,8 @@ def _screen_sweep(source, d, s_values) -> np.ndarray:
     embedded Gauss rule disagrees with the Kronrod one until the summed
     estimate drops below the budget.
     """
-    fn, ctx = _resolve_amplitude(source)
-    k = ctx.k
-    integrand = _screen_integrand(fn, k, d)
+    integrand = _screen_integrand(params, d)
+    k = params.ctx.k
     s_values = np.asarray(s_values, dtype=float)
     half = 0.5 * s_values
     # cuts m = 1 .. floor(k (r(s/2) - d) / (pi/4)) that lie below s/2
@@ -326,8 +326,9 @@ def _screen_sweep(source, d, s_values) -> np.ndarray:
     return out
 
 
-def screen_power(source, screen: ScreenSpec) -> float:
-    """Normalized screen power change dP_screen(s), adaptively integrated.
+def screen_power(params: ConstructionParams, screen: ScreenSpec) -> float:
+    """Normalized screen power change dP_screen(s) of the construction
+    `params` (its closed-form left amplitude), adaptively integrated.
 
     The one-width case of the shared-panel sweep behind :func:`fig2_curves`:
     panels start at pi/4 phase increments and are bisected wherever the
@@ -336,20 +337,19 @@ def screen_power(source, screen: ScreenSpec) -> float:
     result itself is good to about SCREEN_ABS_TOL); after SCREEN_MAX_DEPTH
     rounds it warns and returns what it has.
     """
-    return float(_screen_sweep(source, screen.d, [screen.s])[0])
+    return float(_screen_sweep(params, screen.d, [screen.s])[0])
 
 
-def screen_power_oracle(source, screen: ScreenSpec) -> float:
+def screen_power_oracle(params: ConstructionParams, screen: ScreenSpec) -> float:
     """Non-adaptive composite Gauss-Legendre route to dP_screen.
 
     Uniform panels sized to at most a pi/2 phase step, an
     ORACLE_NODES_PER_PANEL-point rule on each; independent of the Kronrod
     machinery in :func:`screen_power`.
     """
-    fn, ctx = _resolve_amplitude(source)
-    integrand = _screen_integrand(fn, ctx.k, screen.d)
+    integrand = _screen_integrand(params, screen.d)
     half = 0.5 * screen.s
-    phi_max = ctx.k * (np.hypot(screen.d, half) - screen.d)
+    phi_max = params.ctx.k * (np.hypot(screen.d, half) - screen.d)
     n_panels = max(8, int(np.ceil(phi_max / (np.pi / 2.0))) * 2)
     edges = np.linspace(-half, half, n_panels + 1)
     xq, wq = leggauss(ORACLE_NODES_PER_PANEL)

@@ -152,18 +152,13 @@ class TransferOperator:
         return self.matrix[self.n :, self.n :]
 
     @cached_property
-    def _m22_lu(self):
-        from scipy.linalg import lu_factor
-
-        return lu_factor(self.m22)
-
-    @cached_property
     def m22_condition(self) -> float:
         return float(np.linalg.cond(self.m22))
 
     def solve_m22(self, rhs):
-        from scipy.linalg import lu_solve
-
+        """M22^{-1} rhs by numpy's LU solve, warning first when the M22
+        condition exceeds SPECTRAL_COND_LIMIT.  An exactly singular M22
+        raises numpy.linalg.LinAlgError."""
         if self.m22_condition > SPECTRAL_COND_LIMIT:
             warnings.warn(
                 f"M22 condition {self.m22_condition:.3g} exceeds "
@@ -172,7 +167,7 @@ class TransferOperator:
                 SpectralSingularityWarning,
                 stacklevel=3,
             )
-        return lu_solve(self._m22_lu, rhs)
+        return np.linalg.solve(self.m22, rhs)
 
 
 @dataclass(frozen=True)

@@ -127,21 +127,34 @@ def test_grazing_guards():
         born_t_values(v, "left", "sideways", 0.0)
 
 
+def test_amplitudes_return_complex_for_a_scalar_and_keep_an_array_shape():
+    params = _construction()
+    v = build_potential_2d(params)
+    routes = {
+        "closed_form_f_left": lambda x: closed_form_f_left(params, x),
+        "closed_form_t_left": lambda x: closed_form_t_left(params, "plus", x),
+        "born_f_2d": lambda x: born_f_2d(v, "left", x),
+        "born_t_values": lambda x: born_t_values(v, "left", "plus", x),
+    }
+    grid = np.array([[0.1, 0.2, 0.3], [-0.4, 0.5, 0.6]])
+    for name, route in routes.items():
+        scalar = route(0.3)
+        assert type(scalar) is complex, name
+        array = route(grid)
+        assert array.shape == grid.shape, name
+        assert array[0, 2] == pytest.approx(scalar, rel=1e-13), name
+
+
 def test_amplitude_table_round_trip_and_validation():
     params = _construction()
     v = build_potential_2d(params)
     th = np.linspace(-1.2, 1.2, 161)
     tb = amplitude_table(v, "left", th, method="born")
-    tc = amplitude_table(v, "left", th, method="closed_form")
+    tc = amplitude_table(v, "left", th, method="closed")
     assert np.max(np.abs(tb.values - tc.values)) < 1e-12 * np.max(np.abs(tb.values))
-    assert np.allclose(tb.interpolate(th), tb.values, rtol=0, atol=1e-16)
-    mids = 0.5 * (th[:-1] + th[1:])
-    interp_err = np.max(np.abs(tb.interpolate(mids) - born_f_2d(v, "left", mids)))
-    assert interp_err < 1e-5 * np.max(np.abs(tb.values))
+    assert tb.forward == born_f_2d(v, "left", 0.0)
     with pytest.raises(ValueError):
-        tb.interpolate(1.4)
-    with pytest.raises(ValueError):
-        amplitude_table(v, "right", th, method="closed_form")
+        amplitude_table(v, "right", th, method="closed")
     with pytest.raises(ValueError):
         amplitude_table(v, "left", th, method="magic")
     with pytest.raises(ValueError):
@@ -149,7 +162,7 @@ def test_amplitude_table_round_trip_and_validation():
             side="left",
             thetas=np.array([0.0, np.pi / 2]),
             values=np.zeros(2, dtype=complex),
-            ctx=params.ctx,
+            forward=0j,
         )
 
 

@@ -163,6 +163,22 @@ def test_power_report(tmp_path):
     assert abs(blob["right_total"]) < 1e-10 * abs(blob["left_total"])
 
 
+@pytest.mark.parametrize("envelope", ["quartic", "gaussian"])
+def test_power_budget_does_not_depend_on_sample_count_parity(tmp_path, envelope):
+    # an even per-arc count samples neither theta = 0 nor pi, an odd one both;
+    # the extinction terms read f there directly, so only the arc quadrature
+    # sees the count
+    blobs = {}
+    for n in (1000, 1001):
+        out = tmp_path / f"power{n}.json"
+        argv = ["power", "--envelope", envelope, "--thetas", str(n), "--out", str(out)]
+        assert main(argv) == 0
+        blobs[n] = json.loads(out.read_text())
+    even, odd = blobs[1000], blobs[1001]
+    assert abs(even["left_forward"] - odd["left_forward"]) <= 1e-10 * abs(odd["left_forward"])
+    assert abs(even["right_backward"]) <= 1e-30
+
+
 def test_fig2_writes_manifest(tmp_path, capsys):
     rc = main(
         [
@@ -184,10 +200,11 @@ def test_fig2_writes_manifest(tmp_path, capsys):
     assert "ks" not in config
 
 
-def test_import_construct_and_fig2_load_no_scipy(tmp_path):
-    # SciPy costs most of a fresh command's start-up, and construct and fig2
-    # call none of it: the modules that do need it import it at the call.
-    # A fresh interpreter is the only place where a top-level import shows.
+def test_import_construct_amplitude_verify_xfer_and_fig2_load_no_scipy(tmp_path):
+    # SciPy costs most of a fresh command's start-up, and construct,
+    # amplitude, verify, xfer and fig2 call none of it: the modules that do
+    # need it import it at the call. A fresh interpreter is the only place
+    # where a top-level import shows.
     script = textwrap.dedent(
         f"""
         import sys
@@ -195,6 +212,12 @@ def test_import_construct_and_fig2_load_no_scipy(tmp_path):
         from uniscat.cli import main
         out = {str(tmp_path)!r}
         assert main(["construct", "--nx", "5", "--ny", "5", "--out", out + "/v.csv"]) == 0
+        for method in ("born", "closed"):
+            argv = ["amplitude", "--method", method, "--thetas", "21", "--out", out + "/f.csv"]
+            assert main(argv) == 0
+        small = ["--grid-n", "9", "--slices", "40"]
+        assert main(["verify", *small, "--out", out + "/r.json"]) == 0
+        assert main(["xfer", *small, "--out", out + "/o.json"]) == 0
         assert main(["fig2", "--samples", "8", "--ks", "2pi", "--out-dir", out]) == 0
         print(sorted(m for m in sys.modules if m.startswith("scipy")))
         """
@@ -240,6 +263,13 @@ def test_error_exit_codes(tmp_path):
     assert main(["construct", "--out", str(tmp_path / "no" / "dir" / "f.csv")]) == 4
     # grid constraints surface as argument errors
     assert main(["verify", "--grid-n", "8", "--out", str(tmp_path / "v.json")]) == 2
+    # the closed-form amplitude is left-incidence only
+    argv = ["amplitude", "--method", "closed", "--side", "right", "--out", str(tmp_path / "f.csv")]
+    assert main(argv) == 2
+    # an amplitude route the config names but no code has
+    cfg3 = tmp_path / "magic.json"
+    cfg3.write_text(json.dumps({"method": "magic"}))
+    assert main(["amplitude", "--config", str(cfg3), "--out", str(tmp_path / "g.csv")]) == 2
 
 
 def test_stdout_output(capsys):

@@ -53,7 +53,7 @@ def _flat_table(side, value, n=801):
         side=side,
         thetas=th,
         values=np.full(th.shape, value, dtype=complex),
-        ctx=CTX,
+        forward=complex(value),
     )
 
 
@@ -103,7 +103,7 @@ def test_side_order_is_enforced():
 def test_sparse_arc_warning():
     th = np.concatenate([np.linspace(-1.5, 1.5, 9), np.linspace(np.pi - 1.5, np.pi + 1.5, 40)])
     table = AmplitudeTable(
-        side="left", thetas=th, values=np.ones(th.shape, complex), ctx=CTX
+        side="left", thetas=th, values=np.ones(th.shape, complex), forward=1 + 0j
     )
     with pytest.warns(SparseArcWarning):
         total_power_changes(table, _flat_table("right", 0.0))
@@ -126,12 +126,16 @@ def test_one_way_power_budget_of_the_construction():
 
 
 def test_xi_inverse_square_root_falloff():
-    table = _flat_table("left", 1.0)
-    r = 7.0
-    # theta = 0 kills the phase, so the r dependence is the prefactor alone
-    a = xi(table, r, 0.0)
-    b = xi(table, 4.0 * r, 0.0)
-    assert a == pytest.approx(np.cos(np.pi / 4.0) / np.sqrt(CTX.k * r), rel=1e-14)
+    params = _params()
+    k, th = params.ctx.k, 0.4
+    # the construction's f vanishes at theta = 0, so take theta = 0.4 at the
+    # distance r where the phase 2 k r sin^2(theta / 2) is one whole turn; at
+    # 4 r it is four, so the r dependence is the prefactor alone
+    r = np.pi / (k * np.sin(0.5 * th) ** 2)
+    a = xi(params, r, th)
+    b = xi(params, 4.0 * r, th)
+    f = closed_form_f_left(params, th)
+    assert a == pytest.approx(np.real(np.exp(1j * np.pi / 4.0) * f) / np.sqrt(k * r), rel=1e-14)
     assert a / b == pytest.approx(2.0, rel=1e-14)
 
 
@@ -150,9 +154,7 @@ def test_xi_accepts_the_construction_directly():
     # phases are free of cancellation, so they agree at far screens too
     y = np.array([-37.0, -4.5, 0.0, 0.8, 12.0, 49.9])
     for d, scale, tol in ((100.0, 1.0, 1e-12), (1e4, 100.0, 2e-12)):
-        integrand = _screen_integrand(
-            lambda t: closed_form_f_left(params, t), params.ctx.k, d
-        )
+        integrand = _screen_integrand(params, d)
         r, th = np.hypot(d, scale * y), np.arctan2(scale * y, d)
         want = (1.0 + np.cos(th)) * xi(params, r, th)
         assert np.max(np.abs(integrand(scale * y) - want)) < tol * np.max(np.abs(want))
@@ -204,7 +206,7 @@ def test_fig2_curves_layout_and_determinism():
 
 def test_gk_panel_sums_do_not_depend_on_the_batch():
     params = _params()
-    integrand = _screen_integrand(lambda th: closed_form_f_left(params, th), params.ctx.k, 100.0)
+    integrand = _screen_integrand(params, 100.0)
     rng = np.random.default_rng(7)
     lo = rng.uniform(-50.0, 50.0, 1000)
     hi = lo + rng.uniform(1e-3, 2.0, 1000)
@@ -234,7 +236,7 @@ def _per_width_phase_cut_edges(k, d, s):
 def test_sweep_panels_are_the_per_width_phase_cuts(k, d):
     # these widths need no bisection, so each value is the plain panel sum
     params = _params(k=k)
-    integrand = _screen_integrand(lambda th: closed_form_f_left(params, th), k, d)
+    integrand = _screen_integrand(params, d)
     widths = np.array([0.3, 1.0, 9.7, 40.0, 100.0])
     want = []
     for s in widths:
