@@ -10,7 +10,7 @@ back bit-identically; every CSV opens with a '#' comment carrying the
 resolved configuration as JSON.
 
 Exit codes: 0 success, 2 invalid arguments or configuration, 3 numerical
-failure (blown-up integration), 4 I/O failure.
+failure (blown-up integration, singular M22), 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -378,12 +378,13 @@ def main(argv=None) -> int:
     handler, _, names = _COMMANDS[args.command]
     try:
         return handler(_resolve(args, names))
+    except (IntegrationError, np.linalg.LinAlgError) as exc:
+        # before ValueError, of which LinAlgError is a subclass
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except IntegrationError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
         return 4

@@ -27,8 +27,13 @@ the transform takes an array of x at once, as fx(x) @ fy.T, so a chunk of
 x-nodes costs one fx evaluation and one matrix product.  On the quadrature
 route that evaluation is one ``value`` call on the x-node by y-node tensor,
 or, for a sorted 1-D array of x and a potential that carries ``tensor_fn``
-(a tabulated one), one tensor-grid evaluation of its splines, which gives
+(a tabulated one), one tensor-grid evaluation of its spline, which gives
 the same values without visiting each point.
+
+A tabulated potential (``potential_from_samples``) interpolates its samples
+with a not-a-knot bicubic spline in numpy, the interpolant FITPACK builds
+with no smoothing; outside the samples it clamps its argument to the sample
+rectangle, as FITPACK does.
 """
 
 from __future__ import annotations
@@ -237,33 +242,126 @@ class PotentialSpec:
         return out.reshape(kx.shape)
 
 
+def _not_a_knot_slopes(t, v):
+    """Slopes at the knots t of the not-a-knot cubic splines through the
+    columns of v (one spline per column, along axis 0).
+
+    The slopes solve the spline's tridiagonal system (de Boor, ch. IV):
+    interior rows from continuity of the second derivative, end rows from
+    continuity of the third derivative across the second and the next-to-last
+    knot.  One elimination sweep and one back substitution over the rows
+    solve every column at once; every pivot is positive for strictly
+    increasing knots.
+    """
+    h = np.diff(t)
+    d = np.diff(v, axis=0) / h[:, None]
+    sub = np.r_[h[1:], h[-2] + h[-1]]
+    diag = np.r_[h[1], 2.0 * (h[:-1] + h[1:]), h[-2]]
+    sup = np.r_[h[0] + h[1], h[:-1]]
+    s = np.empty_like(v)
+    s[0] = ((3.0 * h[0] + 2.0 * h[1]) * h[1] * d[0] + h[0] ** 2 * d[1]) / (h[0] + h[1])
+    s[1:-1] = 3.0 * (h[1:, None] * d[:-1] + h[:-1, None] * d[1:])
+    s[-1] = (h[-1] ** 2 * d[-2] + (2.0 * h[-2] + 3.0 * h[-1]) * h[-2] * d[-1]) / (h[-2] + h[-1])
+    for i in range(1, t.size):
+        w = sub[i - 1] / diag[i - 1]
+        diag[i] -= w * sup[i - 1]
+        s[i] -= w * s[i - 1]
+    s[-1] /= diag[-1]
+    for i in range(t.size - 2, -1, -1):
+        s[i] -= sup[i] * s[i + 1]
+        s[i] /= diag[i]
+    return s
+
+
+def _hermite_weights(t, knots):
+    """Cell index i of each t, with knots[i] <= t <= knots[i + 1], and the
+    cubic Hermite weights of the values and the slopes at knots i and i + 1.
+
+    t is first clamped to the knots' range, as FITPACK clamps its argument,
+    so a spline is constant along the normal outside its sample rectangle.
+    """
+    t = np.clip(t, knots[0], knots[-1])
+    i = np.clip(np.searchsorted(knots, t, side="right") - 1, 0, knots.size - 2)
+    h = knots[i + 1] - knots[i]
+    u = (t - knots[i]) / h
+    w = 1.0 - u
+    return i, (
+        w * w * (1.0 + 2.0 * u),
+        u * u * (3.0 - 2.0 * u),
+        h * u * w * w,
+        -h * u * u * w,
+    )
+
+
+def _blend(a0, a1, s0, s1, w):
+    """One Hermite step: values a0, a1 and slopes s0, s1 at a cell's two
+    knots, combined with the weights of `_hermite_weights`."""
+    return a0 * w[0] + a1 * w[1] + s0 * w[2] + s1 * w[3]
+
+
 def potential_from_samples(x, y, values) -> PotentialSpec:
     """Build a potential from a complex field sampled on a rectangle.
 
-    Cubic bivariate splines (real and imaginary parts separately) interpolate
-    between samples; the support is exactly the sample rectangle, so the
-    samples should cover the region where the field is smooth and nonzero.
-    The splines also serve ``tensor_fn``, their tensor-grid evaluation, which
-    the transverse quadrature uses for sorted chunks of x-nodes.
-    """
-    from scipy.interpolate import RectBivariateSpline
+    A not-a-knot bicubic spline interpolates between samples; it is the
+    interpolating spline FITPACK builds with no smoothing (knots at the
+    samples, less the second and the next-to-last on each axis).  It is held
+    as the samples and their slopes along x, along y and across, and each
+    point is evaluated from the 4 x 4 nodal data of its cell, a Hermite step
+    along y and then one along x.  Outside the sample rectangle the argument
+    is clamped to it; the support is exactly that rectangle, so the samples
+    should cover the region where the field is smooth and nonzero.
+    ``tensor_fn`` evaluates the same spline on a tensor grid, taking the
+    steps along y once per x-knot of the grid, with the same arithmetic as
+    the pointwise values; the transverse quadrature uses it for sorted
+    chunks of x-nodes.
 
+    x and y must be finite, strictly increasing and at least 4 long, and the
+    samples finite; otherwise ValueError.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    values = np.asarray(values, dtype=complex)
-    if values.shape != (x.size, y.size):
+    v = np.array(values, dtype=complex)
+    if v.shape != (x.size, y.size):
         raise ValueError(
             f"sample array must have shape (len(x), len(y)) = "
-            f"({x.size}, {y.size}), got {values.shape}"
+            f"({x.size}, {y.size}), got {v.shape}"
         )
-    sre = RectBivariateSpline(x, y, values.real)
-    sim = RectBivariateSpline(x, y, values.imag)
+    for name, t in (("x", x), ("y", y)):
+        if t.ndim != 1 or t.size < 4:
+            raise ValueError(
+                f"{name} must be 1-D with at least 4 samples for a bicubic spline, "
+                f"got shape {t.shape}"
+            )
+        if not (np.all(np.isfinite(t)) and np.all(t[1:] > t[:-1])):
+            raise ValueError(f"the {name} samples must be finite and strictly increasing")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("the sampled values must be finite")
+    vx = _not_a_knot_slopes(x, v)
+    vy = _not_a_knot_slopes(y, v.T).T
+    vxy = _not_a_knot_slopes(x, vy)
+
+    def along_y(rows, j, wy):
+        """The spline and its x-slope at the x-knots `rows`, by Hermite steps
+        along y in the cells j."""
+        return (
+            _blend(v[rows, j], v[rows, j + 1], vy[rows, j], vy[rows, j + 1], wy),
+            _blend(vx[rows, j], vx[rows, j + 1], vxy[rows, j], vxy[rows, j + 1], wy),
+        )
 
     def value_fn(xx, yy):
-        return sre(xx, yy, grid=False) + 1j * sim(xx, yy, grid=False)
+        i, wx = _hermite_weights(xx, x)
+        j, wy = _hermite_weights(yy, y)
+        (a0, s0), (a1, s1) = along_y(i, j, wy), along_y(i + 1, j, wy)
+        return _blend(a0, a1, s0, s1, wx)
 
     def tensor_fn(xx, yy):
-        return sre(xx, yy, grid=True) + 1j * sim(xx, yy, grid=True)
+        i, wx = _hermite_weights(xx, x)
+        j, wy = _hermite_weights(yy, y)
+        # xx is sorted, so its cells reach only the x-knots i[0] .. i[-1] + 1
+        lo, hi = (i[0], i[-1] + 2) if i.size else (0, 0)
+        a, s = along_y(slice(lo, hi), j, wy)
+        i = i - lo
+        return _blend(a[i], a[i + 1], s[i], s[i + 1], [w[:, None] for w in wx])
 
     return PotentialSpec(
         x_support=(float(x[0]), float(x[-1])),

@@ -15,6 +15,8 @@ import pytest
 import uniscat
 from uniscat import (
     ConstructionParams,
+    SpectralSingularityWarning,
+    TransferOperator,
     WaveContext,
     build_potential_2d,
     classify,
@@ -200,11 +202,14 @@ def test_fig2_writes_manifest(tmp_path, capsys):
     assert "ks" not in config
 
 
-def test_import_construct_amplitude_verify_xfer_and_fig2_load_no_scipy(tmp_path):
+def test_import_construct_amplitude_verify_xfer_fig2_and_sampled_evolution_load_no_scipy(
+    tmp_path,
+):
     # SciPy costs most of a fresh command's start-up, and construct,
-    # amplitude, verify, xfer and fig2 call none of it: the modules that do
-    # need it import it at the call. A fresh interpreter is the only place
-    # where a top-level import shows.
+    # amplitude, verify, xfer, fig2 and the evolution of a tabulated
+    # potential call none of it: the modules that do need it import it at
+    # the call. A fresh interpreter is the only place where a top-level
+    # import shows.
     script = textwrap.dedent(
         f"""
         import sys
@@ -219,6 +224,10 @@ def test_import_construct_amplitude_verify_xfer_and_fig2_load_no_scipy(tmp_path)
         assert main(["verify", *small, "--out", out + "/r.json"]) == 0
         assert main(["xfer", *small, "--out", out + "/o.json"]) == 0
         assert main(["fig2", "--samples", "8", "--ks", "2pi", "--out-dir", out]) == 0
+        v = uniscat.random_smooth_potential(6)
+        copy = uniscat.potential_from_samples(*uniscat.sample_potential(v, 21, 21))
+        grid = uniscat.gauss_grid(9, uniscat.WaveContext(k=6.0))
+        assert uniscat.evolve_transfer(copy, grid, slices=40).slices == 40
         print(sorted(m for m in sys.modules if m.startswith("scipy")))
         """
     )
@@ -231,6 +240,20 @@ def test_import_construct_amplitude_verify_xfer_and_fig2_load_no_scipy(tmp_path)
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == "[]", run.stdout
+
+
+def test_singular_m22_is_a_numerical_failure(tmp_path, monkeypatch, capsys):
+    # numpy's LinAlgError is a ValueError, but an exactly singular M22 is a
+    # numerical failure, not an argument error
+    def singular(v, grid, slices=None):
+        matrix = np.eye(2 * grid.n, dtype=complex)
+        matrix[grid.n :, grid.n :] = 0.0
+        return TransferOperator(grid=grid, matrix=matrix, slices=1)
+
+    monkeypatch.setattr(uniscat.cli, "evolve_transfer", singular)
+    with pytest.warns(SpectralSingularityWarning):
+        assert main(["verify", "--grid-n", "9", "--out", str(tmp_path / "v.json")]) == 3
+    assert capsys.readouterr().err.startswith("numerical failure: ")
 
 
 def test_config_file_layering(tmp_path):

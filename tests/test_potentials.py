@@ -173,6 +173,63 @@ def test_potential_from_samples_validates_shape():
         potential_from_samples(np.linspace(0, 1, 5), np.linspace(0, 1, 6), np.zeros((6, 5)))
 
 
+@pytest.mark.parametrize(
+    "x, values, match",
+    [
+        (np.linspace(0.0, 1.0, 3), np.zeros((3, 5)), "x must be 1-D with at least 4 samples"),
+        (np.array([0.0, 0.5, 0.5, 1.0, 1.5]), np.zeros((5, 5)), "strictly increasing"),
+        (np.linspace(0.0, 1.0, 5), np.full((5, 5), np.nan), "must be finite"),
+    ],
+)
+def test_potential_from_samples_rejects_bad_samples(x, values, match):
+    with pytest.raises(ValueError, match=match):
+        potential_from_samples(x, np.linspace(0.0, 1.0, 5), values)
+
+
+@pytest.mark.parametrize("nx, ny", [(4, 4), (9, 13)])
+def test_sampled_spline_reproduces_a_bicubic(nx, ny):
+    # a not-a-knot cubic spline reproduces any cubic, so the tensor spline
+    # reproduces p(x) q(y) exactly, on any strictly increasing axes
+    rng = np.random.default_rng(nx)
+    x = np.linspace(0.0, 2.0, nx) + rng.uniform(0.0, 0.3, nx) * 2.0 / nx
+    y = np.linspace(-1.0, 1.5, ny) + rng.uniform(0.0, 0.3, ny) * 2.5 / ny
+
+    def p(t):
+        return 1.0 + 2.0 * t - 0.7 * t**2 + 0.3 * t**3
+
+    def q(t):
+        return (0.5 - 1.0j) - 0.2j * t + 1.1 * t**2 - 0.4j * t**3
+
+    copy = potential_from_samples(x, y, p(x)[:, None] * q(y))
+    xs = np.sort(rng.uniform(x[0], x[-1], 50))
+    ys = np.sort(rng.uniform(y[0], y[-1], 40))
+    want = p(xs)[:, None] * q(ys)
+    scale = np.max(np.abs(want))
+    assert np.max(np.abs(copy.value(xs[:, None], ys) - want)) <= 1e-13 * scale
+    assert np.max(np.abs(copy.tensor_fn(xs, ys) - want)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("nx, ny", [(41, 41), (101, 81), (401, 401)])
+def test_sampled_spline_is_the_fitpack_interpolant(nx, ny):
+    # FITPACK's interpolating bicubic spline (no smoothing) has the
+    # not-a-knot knots, and it clamps its argument to the sample rectangle;
+    # SciPy stays a dependency for the power budget's quadrature
+    from scipy.interpolate import RectBivariateSpline
+
+    rng = np.random.default_rng([nx, ny])
+    x = np.linspace(0.0, 1.0, nx)
+    y = np.linspace(-2.3, 2.1, ny)
+    values = rng.normal(size=(nx, ny)) + 1j * rng.normal(size=(nx, ny))
+    copy = potential_from_samples(x, y, values)
+    re = RectBivariateSpline(x, y, values.real)
+    im = RectBivariateSpline(x, y, values.imag)
+    # three quarters of the points lie outside the rectangle
+    xs = rng.uniform(-0.5, 1.5, 20000)
+    ys = rng.uniform(-4.5, 4.3, 20000)
+    want = re(xs, ys, grid=False) + 1j * im(xs, ys, grid=False)
+    assert np.max(np.abs(copy.value(xs, ys) - want)) <= 1e-14 * np.max(np.abs(values))
+
+
 def test_dimension_guards():
     v = random_smooth_potential(0)
     with pytest.raises(ValueError):
