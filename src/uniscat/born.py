@@ -18,8 +18,10 @@ ratio cancels before anything is evaluated, and the amplitudes reduce to
     f^r(theta) = -vtt(+k(1 + cos theta), k sin theta) / (2 sqrt(2 pi)),
 
 valid on both the forward and the backward half uniformly.  No grazing 0/0
-ever forms; theta is still kept away from +/- pi/2 by a small margin because
-the first-order treatment itself degrades there.
+ever forms, so :func:`born_f_2d` and :func:`closed_form_f_left` take any
+angle, grazing included, and the power budget integrates them over whole
+arcs.  The T route (1/omega) and the sampled tables still refuse angles
+within GRAZING_MARGIN of grazing.
 
 In 3D the same structure holds with transverse momentum pvec and
 
@@ -58,8 +60,8 @@ __all__ = [
     "amplitude_table",
 ]
 
-# Angles with |cos theta| below this are refused: the oblique-wave expansion
-# itself breaks down at grazing incidence.
+# Angles with |cos theta| below this are refused by the T route, whose 1/omega
+# diverges at grazing, and by sampled amplitude tables and the 3D amplitude.
 GRAZING_MARGIN = 1e-3
 
 _SIDES = ("left", "right")
@@ -93,17 +95,13 @@ class AmplitudeTable:
 
     thetas are measured from the incidence axis; the forward half for the
     left-incident wave is |theta| < pi/2, the backward half
-    pi/2 < theta < 3 pi/2.  `forward` is f in the incident direction
-    (theta = 0 for the left side, pi for the right), which the extinction
-    term of the power budget reads.  :func:`amplitude_table` fills the
-    samples and `forward` by one route ("born" or "closed"); the table does
-    not record which.
+    pi/2 < theta < 3 pi/2.  :func:`amplitude_table` fills the samples by
+    one route ("born" or "closed"); the table does not record which.
     """
 
     side: str
     thetas: np.ndarray
     values: np.ndarray
-    forward: complex
 
     def __post_init__(self):
         if np.any(np.abs(np.cos(self.thetas)) < GRAZING_MARGIN):
@@ -148,13 +146,14 @@ def born_t_values(v: PotentialSpec, side: str, sign: str, p, ctx: WaveContext = 
 
 
 def born_f_2d(v: PotentialSpec, side: str, theta, ctx: WaveContext = None):
-    """First-order differential amplitude f(theta), any theta off grazing."""
+    """First-order differential amplitude f(theta) at any theta, grazing
+    included."""
     _check_side_sign(side)
     if v.dim != 2:
         raise ValueError("born_f_2d is the 2D route; use born_f_3d")
     ctx = ctx or _ctx_of(v)
     theta = np.asarray(theta, dtype=float)
-    c = _cos_off_grazing(theta)
+    c = np.cos(theta)
     kx = -ctx.k * (1.0 - c) if side == "left" else ctx.k * (1.0 + c)
     out = -v.ft(kx, ctx.k * np.sin(theta)) / (2.0 * np.sqrt(2.0 * np.pi))
     return out if np.ndim(out) else complex(out)
@@ -236,13 +235,12 @@ def closed_form_f_left(params: ConstructionParams, theta):
                  / ( (k(1-cos th) + l K)(k(1-cos th) + m K) ),
 
     uniformly on both halves (the shift k(1 - cos theta) equals p_minus
-    forward and p_plus backward).
+    forward and p_plus backward), grazing included.
     """
     env = params._env1d()
     theta = np.asarray(theta, dtype=float)
-    c = _cos_off_grazing(theta)
     ctx = params.ctx
-    shift = ctx.k * (1.0 - c)
+    shift = ctx.k * (1.0 - np.cos(theta))
     core = _stable_phase_core(params, shift)
     out = (
         -np.sqrt(2.0 / np.pi) * 1j
@@ -308,10 +306,7 @@ def amplitude_table(
     else:
         raise ValueError(f"unknown amplitude method {method!r}")
     return AmplitudeTable(
-        side=side,
-        thetas=thetas,
-        values=np.asarray(f(thetas), dtype=complex),
-        forward=f(0.0 if side == "left" else np.pi),
+        side=side, thetas=thetas, values=np.asarray(f(thetas), dtype=complex)
     )
 
 

@@ -256,11 +256,7 @@ def _cmd_xfer(cfg) -> int:
 
 def _cmd_power(cfg) -> int:
     v = _potential(cfg)
-    n = max(801, int(cfg["thetas"]))
-    thetas = _thetas(n, n)
-    left = amplitude_table(v, "left", thetas, method="born")
-    right = amplitude_table(v, "right", thetas, method="born")
-    summary = total_power_changes(left, right)
+    summary = total_power_changes(v)
     screen = ScreenSpec(d=float(cfg["d"]), s=float(cfg["s"]))
     report = {
         "config": _echo_cfg(cfg),
@@ -342,7 +338,7 @@ _COMMANDS = {
     ),
     "power": (
         _cmd_power, "far-zone and screen power changes",
-        (*_CONSTRUCTION, "thetas", "d", "s", "out"),
+        (*_CONSTRUCTION, "d", "s", "out"),
     ),
     "fig2": (
         _cmd_fig2, "screen-power benchmark sweep",

@@ -9,7 +9,10 @@ scattered wave changes the power crossing the far-zone arcs by
 in units of P0 (forward arc |theta| < pi/2, backward arc the complement);
 the linear-in-f terms are the extinction interference of the scattered and
 incident waves and attach to the arc containing each beam's forward
-direction.
+direction.  f is the first-order amplitude `born_f_2d`, which has no
+1/cos theta, so each arc is integrated whole, grazing edges included, with
+15-point Gauss-Kronrod panels bisected on the embedded 7-point error
+estimate (:func:`total_power_changes`).
 
 A finite detector is modelled as a screen of width s at distance d behind
 the slab.  The interference profile along the screen is
@@ -35,9 +38,10 @@ evaluates the panels between cuts once for all widths, as left/right pairs
 from the centre outward, plus two end panels per width, in one integrand
 call.  Prefix sums over the pairs then give every width's sum and error
 estimate at once, and only widths over their error budget are refined, one
-by one.  :func:`screen_power` is the one-width case of the same pass.  A
-non-adaptive composite Gauss-Legendre rule on an unrelated node set acts as
-the independent cross-check (:func:`screen_power_oracle`).
+by one, by the same bisection as the arcs.  :func:`screen_power` is the
+one-width case of the same pass.  A non-adaptive composite Gauss-Legendre
+rule on an unrelated node set acts as the independent cross-check
+(:func:`screen_power_oracle`).
 """
 
 from __future__ import annotations
@@ -48,17 +52,17 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .born import AmplitudeTable, closed_form_f_left
+from .born import born_f_2d, closed_form_f_left
 from .construct import ConstructionParams
 from .envelopes import quartic_envelope
 from .grids import WaveContext
+from .potentials import PotentialSpec
 
 __all__ = [
     "EXTINCTION_FACTOR",
     "ScreenSpec",
     "PowerSummary",
     "PowerCurve",
-    "SparseArcWarning",
     "total_power_changes",
     "xi",
     "screen_power",
@@ -72,6 +76,12 @@ EXTINCTION_FACTOR = float(np.sqrt(8.0 * np.pi))
 # for at most SCREEN_MAX_DEPTH bisection rounds.
 SCREEN_ABS_TOL = 1e-10
 SCREEN_MAX_DEPTH = 16
+# total_power_changes starts each arc from ARC_PANELS equal panels and
+# bisects until each side's error estimate is below ARC_REL_TOL times the
+# largest arc integral, for at most ARC_MAX_DEPTH rounds.
+ARC_REL_TOL = 1e-12
+ARC_PANELS = 8
+ARC_MAX_DEPTH = 16
 # Gauss-Legendre nodes on each panel of screen_power_oracle.
 ORACLE_NODES_PER_PANEL = 24
 
@@ -117,10 +127,6 @@ G7_WEIGHTS = np.zeros(15)
 G7_WEIGHTS[1:14:2] = np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]])
 
 
-class SparseArcWarning(UserWarning):
-    """An angular arc is sampled too thinly for a trustworthy integral."""
-
-
 @dataclass(frozen=True)
 class ScreenSpec:
     """Detection screen: distance d behind the slab, width s, centered."""
@@ -164,39 +170,92 @@ class PowerCurve:
     label: str = ""
 
 
-def _arc_integral(table: AmplitudeTable, forward: bool) -> float:
-    from scipy.integrate import simpson
+def _bisect(fn, lo, hi, total, err, budget, max_depth, what):
+    """Bisect the GK15 panels [lo_i, hi_i] of one integral until their summed
+    error estimate is at most `budget`.
 
-    th = np.mod(table.thetas + np.pi / 2.0, 2.0 * np.pi) - np.pi / 2.0
-    mask = (th < np.pi / 2.0) if forward else (th >= np.pi / 2.0)
-    if np.count_nonzero(mask) < 17:
-        warnings.warn(
-            f"only {np.count_nonzero(mask)} samples on the "
-            f"{'forward' if forward else 'backward'} arc; the arc integral "
-            "may be badly resolved",
-            SparseArcWarning,
-            stacklevel=3,
-        )
-    t = th[mask]
-    order = np.argsort(t)
-    return float(simpson(np.abs(table.values[mask][order]) ** 2, x=t[order]))
-
-
-def total_power_changes(f_left: AmplitudeTable, f_right: AmplitudeTable) -> PowerSummary:
-    """Arc-resolved power changes from left- and right-incidence amplitudes.
-
-    The tables must cover both arcs; the extinction terms read each table's
-    `forward` value, f at theta = 0 (left) and theta = pi (right).
+    Each round splits every panel whose estimate exceeds budget / (2 n), for
+    n panels, with one call of `fn`; after `max_depth` rounds it warns and
+    returns what it has.  Returns (lo, hi, total, err): the kept panels
+    first, then the left and the right halves of the split ones.
     """
-    if f_left.side != "left" or f_right.side != "right":
-        raise ValueError("pass the left-incidence table first, right second")
-    ext_left = EXTINCTION_FACTOR * float(np.imag(f_left.forward))
-    ext_right = EXTINCTION_FACTOR * float(np.imag(f_right.forward))
+    for _ in range(max_depth):
+        if float(np.sum(err)) <= budget:
+            break
+        worst = err > (budget / max(1, 2 * err.size))
+        keep_t, keep_e = total[~worst], err[~worst]
+        a, b = lo[worst], hi[worst]
+        m = 0.5 * (a + b)
+        lo = np.concatenate([lo[~worst], a, m])
+        hi = np.concatenate([hi[~worst], m, b])
+        t2, e2 = _gk_panels(fn, np.concatenate([a, m]), np.concatenate([m, b]))
+        total = np.concatenate([keep_t, t2])
+        err = np.concatenate([keep_e, e2])
+    else:
+        warnings.warn(
+            f"{what} error estimate {float(np.sum(err)):.3g} still "
+            f"above budget {budget:.3g} after {max_depth} refinement rounds",
+            UserWarning,
+            stacklevel=4,  # the caller of the public function
+        )
+    return lo, hi, total, err
+
+
+def _arc_power(v: PotentialSpec, ctx: WaveContext = None):
+    """int |f|^2 over each arc of each side by adaptive GK15, with the
+    summed error estimates: two (2, 2) arrays indexed [side, arc], sides
+    (left, right), arcs (forward, backward).
+
+    Each side starts from ARC_PANELS equal panels per arc, both arcs in one
+    `born_f_2d` call, and is bisected (one call per round) until its summed
+    estimate is at most ARC_REL_TOL times the largest initial arc integral
+    of either side.  That one budget serves all four arcs: the right side of
+    a construction is at roundoff, where a budget of its own would never be
+    met.  Being relative, it also picks the same panels at g0 and 2 g0, so
+    the g0^2 law of the arcs holds exactly.
+    """
+    half = 0.5 * np.pi
+    edges = np.linspace(-half, half, ARC_PANELS + 1)
+    lo = np.concatenate([edges[:-1], edges[:-1] + np.pi])
+    hi = np.concatenate([edges[1:], edges[1:] + np.pi])
+
+    def arcs(lo, hi, x):
+        # panels never straddle pi / 2, so the midpoint tells the arc
+        fwd = 0.5 * (lo + hi) < half
+        return np.array([np.sum(x[fwd]), np.sum(x[~fwd])])
+
+    runs = []
+    for side in ("left", "right"):
+
+        def fn(theta, side=side):
+            return np.abs(born_f_2d(v, side, theta, ctx=ctx)) ** 2
+
+        runs.append((fn, *_gk_panels(fn, lo, hi)))
+    budget = ARC_REL_TOL * max(np.max(np.abs(arcs(lo, hi, total))) for _, total, _ in runs)
+    sums, errs = np.zeros((2, 2)), np.zeros((2, 2))
+    for i, (fn, total, err) in enumerate(runs):
+        a, b, total, err = _bisect(fn, lo, hi, total, err, budget, ARC_MAX_DEPTH, "arc integral")
+        sums[i], errs[i] = arcs(a, b, total), arcs(a, b, err)
+    return sums, errs
+
+
+def total_power_changes(v: PotentialSpec, ctx: WaveContext = None) -> PowerSummary:
+    """Arc-resolved power changes of a 2D potential at first Born order.
+
+    Each arc integral of |f|^2 covers its whole arc, grazing edges included,
+    by adaptive Gauss-Kronrod on `born_f_2d` (see :func:`_arc_power`), to
+    about ARC_REL_TOL of the largest arc.  The extinction terms read f at
+    theta = 0 (left) and pi (right) directly.  `ctx` defaults to the
+    potential's own wave context.
+    """
+    sums, _ = _arc_power(v, ctx)
+    ext_left = EXTINCTION_FACTOR * float(np.imag(born_f_2d(v, "left", 0.0, ctx=ctx)))
+    ext_right = EXTINCTION_FACTOR * float(np.imag(born_f_2d(v, "right", np.pi, ctx=ctx)))
     return PowerSummary(
-        left_backward=_arc_integral(f_left, forward=False),
-        left_forward=_arc_integral(f_left, forward=True) - ext_left,
-        right_backward=_arc_integral(f_right, forward=False) - ext_right,
-        right_forward=_arc_integral(f_right, forward=True),
+        left_backward=float(sums[0, 1]),
+        left_forward=float(sums[0, 0]) - ext_left,
+        right_backward=float(sums[1, 1]) - ext_right,
+        right_forward=float(sums[1, 0]),
     )
 
 
@@ -302,26 +361,10 @@ def _screen_sweep(params: ConstructionParams, d, s_values) -> np.ndarray:
     for i in np.flatnonzero(per_width(err_all) > budgets):
         n, budget = used[i], budgets[i]
         idx = np.r_[2 * whole + i, :n, whole : whole + n, 2 * whole + n_s + i]
-        lo, hi, total, err = lo_all[idx], hi_all[idx], total_all[idx], err_all[idx]
-        for _ in range(SCREEN_MAX_DEPTH):
-            if float(np.sum(err)) <= budget:
-                break
-            worst = err > (budget / max(1, 2 * err.size))
-            keep_t, keep_e = total[~worst], err[~worst]
-            a, b = lo[worst], hi[worst]
-            m = 0.5 * (a + b)
-            lo = np.concatenate([lo[~worst], a, m])
-            hi = np.concatenate([hi[~worst], m, b])
-            t2, e2 = _gk_panels(integrand, np.concatenate([a, m]), np.concatenate([m, b]))
-            total = np.concatenate([keep_t, t2])
-            err = np.concatenate([keep_e, e2])
-        else:
-            warnings.warn(
-                f"screen integral error estimate {float(np.sum(err)):.3g} still "
-                f"above budget {budget:.3g} after {SCREEN_MAX_DEPTH} refinement rounds",
-                UserWarning,
-                stacklevel=3,  # the caller of screen_power or fig2_curves
-            )
+        _, _, total, _ = _bisect(
+            integrand, lo_all[idx], hi_all[idx], total_all[idx], err_all[idx],
+            budget, SCREEN_MAX_DEPTH, "screen integral",
+        )
         out[i] = np.sum(total) / s_values[i]
     return out
 

@@ -116,9 +116,13 @@ def test_amplitude_from_t_normalization():
 
 
 def test_grazing_guards():
-    v = build_potential_2d(_construction())
-    with pytest.raises(ValueError):
-        born_f_2d(v, "left", np.pi / 2)
+    params = _construction()
+    v = build_potential_2d(params)
+    # f carries no 1/cos theta, so the amplitude is finite at grazing; only
+    # the T route (1/omega) refuses it
+    f = born_f_2d(v, "left", np.pi / 2)
+    assert np.isfinite(f)
+    assert f == pytest.approx(closed_form_f_left(params, np.pi / 2), rel=1e-12)
     with pytest.raises(ValueError):
         born_t_values(v, "left", "plus", v.params.ctx.k)
     with pytest.raises(ValueError):
@@ -152,7 +156,6 @@ def test_amplitude_table_round_trip_and_validation():
     tb = amplitude_table(v, "left", th, method="born")
     tc = amplitude_table(v, "left", th, method="closed")
     assert np.max(np.abs(tb.values - tc.values)) < 1e-12 * np.max(np.abs(tb.values))
-    assert tb.forward == born_f_2d(v, "left", 0.0)
     with pytest.raises(ValueError):
         amplitude_table(v, "right", th, method="closed")
     with pytest.raises(ValueError):
@@ -162,7 +165,6 @@ def test_amplitude_table_round_trip_and_validation():
             side="left",
             thetas=np.array([0.0, np.pi / 2]),
             values=np.zeros(2, dtype=complex),
-            forward=0j,
         )
 
 

@@ -14,15 +14,18 @@ import pytest
 
 import uniscat
 from uniscat import (
+    EXTINCTION_FACTOR,
     ConstructionParams,
     SpectralSingularityWarning,
     TransferOperator,
     WaveContext,
+    born_f_2d,
     build_potential_2d,
     classify,
     closed_form_f_left,
     evolve_transfer,
     gauss_grid,
+    gaussian_envelope,
     quartic_envelope,
 )
 from uniscat.cli import main, parse_k, read_table
@@ -166,19 +169,21 @@ def test_power_report(tmp_path):
 
 
 @pytest.mark.parametrize("envelope", ["quartic", "gaussian"])
-def test_power_budget_does_not_depend_on_sample_count_parity(tmp_path, envelope):
-    # an even per-arc count samples neither theta = 0 nor pi, an odd one both;
-    # the extinction terms read f there directly, so only the arc quadrature
-    # sees the count
-    blobs = {}
-    for n in (1000, 1001):
-        out = tmp_path / f"power{n}.json"
-        argv = ["power", "--envelope", envelope, "--thetas", str(n), "--out", str(out)]
-        assert main(argv) == 0
-        blobs[n] = json.loads(out.read_text())
-    even, odd = blobs[1000], blobs[1001]
-    assert abs(even["left_forward"] - odd["left_forward"]) <= 1e-10 * abs(odd["left_forward"])
-    assert abs(even["right_backward"]) <= 1e-30
+def test_default_power_budget_matches_the_reference(tmp_path, arc_reference, envelope):
+    # the forward arc runs grazing to grazing; the extinction term reads f
+    # at theta = 0 directly
+    out = tmp_path / "power.json"
+    assert main(["power", "--envelope", envelope, "--out", str(out)]) == 0
+    blob = json.loads(out.read_text())
+    make = quartic_envelope if envelope == "quartic" else gaussian_envelope
+    v = build_potential_2d(
+        ConstructionParams(ell=-1, m=1, envelope=make(1e-2, 1.0), ctx=WaveContext(k=4 * np.pi))
+    )
+    want = arc_reference(v, "left", -np.pi / 2) - EXTINCTION_FACTOR * np.imag(
+        born_f_2d(v, "left", 0.0)
+    )
+    assert abs(blob["left_forward"] - want) <= 1e-12 * abs(want)
+    assert abs(blob["right_backward"]) <= 1e-30
 
 
 def test_fig2_writes_manifest(tmp_path, capsys):
@@ -202,14 +207,10 @@ def test_fig2_writes_manifest(tmp_path, capsys):
     assert "ks" not in config
 
 
-def test_import_construct_amplitude_verify_xfer_fig2_and_sampled_evolution_load_no_scipy(
-    tmp_path,
-):
-    # SciPy costs most of a fresh command's start-up, and construct,
-    # amplitude, verify, xfer, fig2 and the evolution of a tabulated
-    # potential call none of it: the modules that do need it import it at
-    # the call. A fresh interpreter is the only place where a top-level
-    # import shows.
+def test_import_every_command_and_sampled_evolution_load_no_scipy(tmp_path):
+    # the package is numpy-only: construct, amplitude, verify, xfer, power,
+    # fig2 and the evolution of a tabulated potential load no SciPy. A fresh
+    # interpreter is the only place where an import shows.
     script = textwrap.dedent(
         f"""
         import sys
@@ -223,6 +224,7 @@ def test_import_construct_amplitude_verify_xfer_fig2_and_sampled_evolution_load_
         small = ["--grid-n", "9", "--slices", "40"]
         assert main(["verify", *small, "--out", out + "/r.json"]) == 0
         assert main(["xfer", *small, "--out", out + "/o.json"]) == 0
+        assert main(["power", "--out", out + "/p.json"]) == 0
         assert main(["fig2", "--samples", "8", "--ks", "2pi", "--out-dir", out]) == 0
         v = uniscat.random_smooth_potential(6)
         copy = uniscat.potential_from_samples(*uniscat.sample_potential(v, 21, 21))

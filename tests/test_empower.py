@@ -7,14 +7,13 @@ import pytest
 
 from uniscat import (
     EXTINCTION_FACTOR,
-    AmplitudeTable,
     ConstructionParams,
+    PotentialSpec,
     PowerCurve,
     PowerSummary,
     ScreenSpec,
-    SparseArcWarning,
     WaveContext,
-    amplitude_table,
+    born_f_2d,
     build_potential_2d,
     closed_form_f_left,
     fig2_curves,
@@ -30,6 +29,7 @@ from uniscat.empower import (
     G7_WEIGHTS,
     GK_NODES,
     GK_WEIGHTS,
+    _arc_power,
     _gk_panels,
     _screen_integrand,
     _screen_sweep,
@@ -44,16 +44,15 @@ def _params(g0=1e-2, k=4 * np.pi):
     )
 
 
-def _flat_table(side, value, n=801):
-    """A synthetic amplitude, constant over both arcs."""
-    fwd = np.linspace(-1.5, 1.5, n)
-    back = np.linspace(np.pi - 1.5, np.pi + 1.5, n)
-    th = np.concatenate([fwd, back])
-    return AmplitudeTable(
-        side=side,
-        thetas=th,
-        values=np.full(th.shape, value, dtype=complex),
-        forward=complex(value),
+def _flat_potential(value):
+    """A synthetic potential whose Born amplitude f = -vtt / (2 sqrt(2 pi))
+    is `value` at every angle on both sides."""
+    ft = -2.0 * np.sqrt(2.0 * np.pi) * complex(value)
+    return PotentialSpec(
+        x_support=(0.0, 1.0),
+        y_support=(-1.0, 1.0),
+        value_fn=lambda x, y: np.zeros(np.shape(x), complex),
+        ft_fn=lambda kx, ky: np.full(np.shape(kx), ft),
     )
 
 
@@ -76,48 +75,94 @@ def test_gk_panels_integrate_polynomials():
 
 def test_constant_amplitude_power_oracle():
     c1, c2 = 0.3 - 0.2j, 0.1 + 0.5j
-    span = 3.0  # each sampled arc covers 3 radians
-    summary = total_power_changes(_flat_table("left", c1), _flat_table("right", c2))
-    assert summary.left_backward == pytest.approx(abs(c1) ** 2 * span, rel=1e-12)
-    assert summary.left_forward == pytest.approx(
+    span = np.pi  # each arc is a half circle
+    # a flat potential scatters alike from both sides, so c1 gives the left
+    # entries and c2 the right ones
+    left = total_power_changes(_flat_potential(c1), ctx=CTX)
+    summary = total_power_changes(_flat_potential(c2), ctx=CTX)
+    assert left.left_backward == pytest.approx(abs(c1) ** 2 * span, rel=1e-12)
+    assert left.left_forward == pytest.approx(
         abs(c1) ** 2 * span - EXTINCTION_FACTOR * c1.imag, rel=1e-12
     )
     assert summary.right_backward == pytest.approx(
         abs(c2) ** 2 * span - EXTINCTION_FACTOR * c2.imag, rel=1e-12
     )
     assert summary.right_forward == pytest.approx(abs(c2) ** 2 * span, rel=1e-12)
-    assert summary.left_total == summary.left_backward + summary.left_forward
+    assert left.left_total == left.left_backward + left.left_forward
     assert summary.right_total == summary.right_backward + summary.right_forward
 
 
 def test_zero_amplitude_changes_nothing():
-    summary = total_power_changes(_flat_table("left", 0.0), _flat_table("right", 0.0))
+    summary = total_power_changes(_flat_potential(0.0), ctx=CTX)
     assert summary == PowerSummary(0.0, 0.0, 0.0, 0.0)
 
 
-def test_side_order_is_enforced():
-    with pytest.raises(ValueError):
-        total_power_changes(_flat_table("right", 1.0), _flat_table("right", 1.0))
-
-
-def test_sparse_arc_warning():
-    th = np.concatenate([np.linspace(-1.5, 1.5, 9), np.linspace(np.pi - 1.5, np.pi + 1.5, 40)])
-    table = AmplitudeTable(
-        side="left", thetas=th, values=np.ones(th.shape, complex), forward=1 + 0j
+def _construction(envelope, k, g0=1e-2):
+    make = quartic_envelope if envelope == "quartic" else gaussian_envelope
+    return build_potential_2d(
+        ConstructionParams(ell=-1, m=1, envelope=make(g0, 1.0), ctx=WaveContext(k=k))
     )
-    with pytest.warns(SparseArcWarning):
-        total_power_changes(table, _flat_table("right", 0.0))
+
+
+ARC_CASES = [(env, n) for env in ("quartic", "gaussian") for n in (2, 4, 12)]
+
+
+@pytest.mark.parametrize("envelope, n", ARC_CASES)
+def test_arcs_match_a_panelled_gauss_legendre_reference(arc_reference, envelope, n):
+    v = _construction(envelope, n * np.pi)
+    sums, _ = _arc_power(v)
+    ref = np.array(
+        [[arc_reference(v, side, lo) for lo in (-np.pi / 2, np.pi / 2)] for side in ("left", "right")]
+    )
+    scale = np.max(np.abs(ref))
+    # every left arc to 1e-12 of itself; the right arcs are roundoff, so
+    # they are held to 1e-12 of the largest arc, the budget they share
+    assert np.all(np.abs(sums[0] - ref[0]) <= 1e-12 * np.abs(ref[0]))
+    assert np.all(np.abs(sums[1] - ref[1]) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-9, empower.ARC_REL_TOL])
+def test_arc_error_estimate_bounds_the_true_error(arc_reference, monkeypatch, tol):
+    monkeypatch.setattr(empower, "ARC_REL_TOL", tol)
+    for envelope, n in ARC_CASES:
+        v = _construction(envelope, n * np.pi)
+        sums, errs = _arc_power(v)
+        ref = np.array([arc_reference(v, "left", lo) for lo in (-np.pi / 2, np.pi / 2)])
+        scale = np.max(np.abs(ref))
+        assert np.sum(errs[0]) <= tol * scale
+        # the reference and the adaptive sum each carry about 1e-15 of
+        # roundoff, which no estimate of the truncation error can see
+        assert np.all(np.abs(sums[0] - ref) <= errs[0] + 1e-14 * scale), (envelope, n)
+
+
+def test_roundoff_side_uses_no_more_nodes_than_the_left_side(monkeypatch):
+    # a budget relative to the right side's own roundoff scale would bisect
+    # it for every allowed round; the shared budget leaves it alone
+    nodes = {"left": 0, "right": 0}
+
+    def counting(v, side, theta, ctx=None):
+        nodes[side] += np.size(theta)
+        return born_f_2d(v, side, theta, ctx=ctx)
+
+    monkeypatch.setattr(empower, "born_f_2d", counting)
+    for envelope, n in ARC_CASES:
+        nodes.update(left=0, right=0)
+        total_power_changes(_construction(envelope, n * np.pi))
+        assert nodes["right"] <= nodes["left"], (envelope, n, nodes)
+        # fewer amplitudes than the 2 x 2 x 801 samples of a fixed rule
+        assert nodes["left"] + nodes["right"] <= 4 * 801, (envelope, n, nodes)
+
+
+def test_arc_refinement_depth_warning(monkeypatch):
+    monkeypatch.setattr(empower, "ARC_REL_TOL", 0.0)
+    monkeypatch.setattr(empower, "ARC_MAX_DEPTH", 1)
+    with pytest.warns(UserWarning, match="arc integral .* refinement rounds"):
+        total_power_changes(_construction("quartic", 4 * np.pi))
 
 
 def test_one_way_power_budget_of_the_construction():
     v = build_potential_2d(_params())
-    margin = 2e-3
-    fwd = np.linspace(-np.pi / 2 + margin, np.pi / 2 - margin, 1201)
-    back = np.pi - fwd
-    th = np.concatenate([fwd, back])
-    f_left = amplitude_table(v, "left", th)
-    f_right = amplitude_table(v, "right", th)
-    summary = total_power_changes(f_left, f_right)
+    summary = total_power_changes(v)
     left_scale = max(abs(summary.left_backward), abs(summary.left_forward))
     assert left_scale > 0.0
     assert summary.left_backward > 0.0

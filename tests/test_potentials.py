@@ -213,7 +213,7 @@ def test_sampled_spline_reproduces_a_bicubic(nx, ny):
 def test_sampled_spline_is_the_fitpack_interpolant(nx, ny):
     # FITPACK's interpolating bicubic spline (no smoothing) has the
     # not-a-knot knots, and it clamps its argument to the sample rectangle;
-    # SciPy stays a dependency for the power budget's quadrature
+    # SciPy is a test-only dependency (the `test` extra)
     from scipy.interpolate import RectBivariateSpline
 
     rng = np.random.default_rng([nx, ny])
