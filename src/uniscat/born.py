@@ -18,10 +18,11 @@ ratio cancels before anything is evaluated, and the amplitudes reduce to
     f^r(theta) = -vtt(+k(1 + cos theta), k sin theta) / (2 sqrt(2 pi)),
 
 valid on both the forward and the backward half uniformly.  No grazing 0/0
-ever forms, so :func:`born_f_2d` and :func:`closed_form_f_left` take any
-angle, grazing included, and the power budget integrates them over whole
-arcs.  The T route (1/omega) and the sampled tables still refuse angles
-within GRAZING_MARGIN of grazing.
+ever forms, so every amplitude here takes any angle, grazing included: the
+power budget integrates them over whole arcs and :func:`amplitude_table`
+samples them to the arc edges.  Only the T routes, whose 1/omega diverges
+there, refuse grazing: through :func:`uniscat.grids.omega` in 2D and the
+propagation-disk check of :func:`born_t_3d` in 3D.
 
 In 3D the same structure holds with transverse momentum pvec and
 
@@ -48,8 +49,6 @@ from .grids import MomentumGrid, WaveContext, omega
 from .potentials import PotentialSpec
 
 __all__ = [
-    "GRAZING_MARGIN",
-    "AmplitudeTable",
     "born_t_values",
     "born_f_2d",
     "born_t_3d",
@@ -59,10 +58,6 @@ __all__ = [
     "amplitude_from_t",
     "amplitude_table",
 ]
-
-# Angles with |cos theta| below this are refused by the T route, whose 1/omega
-# diverges at grazing, and by sampled amplitude tables and the 3D amplitude.
-GRAZING_MARGIN = 1e-3
 
 _SIDES = ("left", "right")
 _SIGNS = ("plus", "minus")
@@ -89,39 +84,8 @@ class TransferTable:
         return float(np.max(np.abs(self.values)))
 
 
-@dataclass(frozen=True)
-class AmplitudeTable:
-    """A differential amplitude f(theta) sampled over scattering angles.
-
-    thetas are measured from the incidence axis; the forward half for the
-    left-incident wave is |theta| < pi/2, the backward half
-    pi/2 < theta < 3 pi/2.  :func:`amplitude_table` fills the samples by
-    one route ("born" or "closed"); the table does not record which.
-    """
-
-    side: str
-    thetas: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        if np.any(np.abs(np.cos(self.thetas)) < GRAZING_MARGIN):
-            raise ValueError(
-                f"amplitude samples must keep |cos theta| >= {GRAZING_MARGIN}"
-            )
-
-
 # ---------------------------------------------------------------------------
 # 2D
-
-
-def _cos_off_grazing(theta):
-    """cos(theta), refusing angles within GRAZING_MARGIN of grazing."""
-    c = np.cos(theta)
-    if np.any(np.abs(c) < GRAZING_MARGIN):
-        raise ValueError(
-            f"grazing angle: |cos theta| must stay >= {GRAZING_MARGIN}"
-        )
-    return c
 
 
 def _shift_argument(ctx: WaveContext, side: str, sign: str, w):
@@ -181,15 +145,16 @@ def born_t_3d(v: PotentialSpec, side: str, sign: str, px, py):
 
 
 def born_f_3d(v: PotentialSpec, side: str, theta, phi):
-    """First-order 3D amplitude f(theta, phi); theta is the polar angle
-    from the scattering axis, phi the azimuth."""
+    """First-order 3D amplitude f(theta, phi) at any theta, grazing
+    included; theta is the polar angle from the scattering axis, phi the
+    azimuth."""
     _check_side_sign(side)
     if v.dim != 3:
         raise ValueError("born_f_3d needs a 3D potential")
     ctx = _ctx_of(v)
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    c = _cos_off_grazing(theta)
+    c = np.cos(theta)
     s = np.sin(theta)
     px = ctx.k * s * np.cos(phi)
     py = ctx.k * s * np.sin(phi)
@@ -285,15 +250,17 @@ def amplitude_from_t(t_values, thetas, ctx: WaveContext):
 
 def amplitude_table(
     v: PotentialSpec, side: str, thetas, method="born", ctx: WaveContext = None
-) -> AmplitudeTable:
-    """Sample a differential amplitude over angles into an AmplitudeTable.
+) -> np.ndarray:
+    """The differential amplitude f at the given angles, as a complex array.
 
-    method "born" works for any 2D potential and side; "closed" is the
-    closed form of a constructed potential, left side only.
+    thetas are measured from the incidence axis and may be any angles,
+    grazing included: the forward arc for the left-incident wave is
+    |theta| <= pi/2, the backward arc pi/2 <= theta <= 3 pi/2.  method
+    "born" works for any 2D potential and side; "closed" is the closed form
+    of a constructed potential, left side only.
     """
     _check_side_sign(side)
     ctx = ctx or _ctx_of(v)
-    thetas = np.asarray(thetas, dtype=float)
     if method == "born":
         f = partial(born_f_2d, v, side, ctx=ctx)
     elif method == "closed":
@@ -305,9 +272,7 @@ def amplitude_table(
         f = partial(closed_form_f_left, v.params)
     else:
         raise ValueError(f"unknown amplitude method {method!r}")
-    return AmplitudeTable(
-        side=side, thetas=thetas, values=np.asarray(f(thetas), dtype=complex)
-    )
+    return np.asarray(f(thetas), dtype=complex)
 
 
 def _ctx_of(v: PotentialSpec) -> WaveContext:

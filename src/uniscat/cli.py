@@ -92,6 +92,26 @@ def _echo_cfg(config) -> dict:
     return {k: v for k, v in config.items() if k not in ("out", "out_dir")}
 
 
+def _config_value(key, value):
+    """A config-file value, put through the conversion and checks argparse
+    gives its flag; null stands only for an option whose default is null."""
+    default, spec = _OPTIONS[key]
+    if value is None:
+        if default is None:
+            return None
+        raise ValueError(f"config {key} must not be null")
+    convert = spec.get("type", str)
+    if convert is int and isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"config {key} must be an integer, got {value!r}")
+    try:
+        value = convert(value)
+    except TypeError:
+        raise ValueError(f"config {key} cannot take {value!r}") from None
+    if "choices" in spec and value not in spec["choices"]:
+        raise ValueError(f"config {key} must be one of {spec['choices']}, got {value!r}")
+    return value
+
+
 def _resolve(args, keys) -> dict:
     """Layer defaults, then --config JSON, then explicit flags."""
     cfg = {k: _OPTIONS[k][0] for k in keys}
@@ -109,7 +129,7 @@ def _resolve(args, keys) -> dict:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         for key in keys:
             if key in loaded:
-                cfg[key] = loaded[key]
+                cfg[key] = _config_value(key, loaded[key])
     for key in keys:
         val = getattr(args, key, None)
         if val is not None:
@@ -170,10 +190,6 @@ def read_table(path):
 
 def _potential(cfg) -> PotentialSpec:
     make = {"gaussian": gaussian_envelope, "quartic": quartic_envelope}
-    if cfg["envelope"] not in make:
-        raise ValueError(
-            f"--envelope must be gaussian or quartic, got {cfg['envelope']!r}"
-        )
     env = make[cfg["envelope"]](float(cfg["g0"]), float(cfg["b"]))
     params = ConstructionParams(
         ell=int(cfg["ell"]),
@@ -195,14 +211,13 @@ def _cmd_construct(cfg) -> int:
 
 
 def _thetas(n_forward: int, n_backward: int) -> np.ndarray:
-    """Evenly spaced angles on the forward, then the backward half, kept a
-    fixed margin away from grazing."""
-    margin = 5e-3
+    """Evenly spaced angles on the forward, then the backward arc, each
+    closed from grazing to grazing."""
     half = np.pi / 2.0
     return np.concatenate(
         [
-            np.linspace(-half + margin, half - margin, n_forward),
-            np.linspace(half + margin, 3.0 * half - margin, n_backward),
+            np.linspace(-half, half, n_forward),
+            np.linspace(half, 3.0 * half, n_backward),
         ]
     )
 
@@ -213,10 +228,8 @@ def _cmd_amplitude(cfg) -> int:
     if n < 2:
         raise ValueError(f"--thetas must be at least 2, got {n}")
     thetas = _thetas(n // 2 + n % 2, n // 2)
-    table = amplitude_table(v, cfg["side"], thetas, method=cfg["method"])
-    rows = np.column_stack(
-        [table.thetas, table.values.real, table.values.imag, np.abs(table.values)]
-    )
+    f = amplitude_table(v, cfg["side"], thetas, method=cfg["method"])
+    rows = np.column_stack([thetas, f.real, f.imag, np.abs(f)])
     _write_table(cfg["out"], cfg, ("theta", "re_f", "im_f", "abs_f"), rows, cfg["format"])
     return 0
 

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from uniscat import (
-    AmplitudeTable,
     ConstructionParams,
     WaveContext,
     amplitude_from_t,
@@ -153,19 +152,13 @@ def test_amplitude_table_round_trip_and_validation():
     params = _construction()
     v = build_potential_2d(params)
     th = np.linspace(-1.2, 1.2, 161)
-    tb = amplitude_table(v, "left", th, method="born")
-    tc = amplitude_table(v, "left", th, method="closed")
-    assert np.max(np.abs(tb.values - tc.values)) < 1e-12 * np.max(np.abs(tb.values))
+    fb = amplitude_table(v, "left", th, method="born")
+    fc = amplitude_table(v, "left", th, method="closed")
+    assert np.max(np.abs(fb - fc)) < 1e-12 * np.max(np.abs(fb))
     with pytest.raises(ValueError):
         amplitude_table(v, "right", th, method="closed")
     with pytest.raises(ValueError):
         amplitude_table(v, "left", th, method="magic")
-    with pytest.raises(ValueError):
-        AmplitudeTable(
-            side="left",
-            thetas=np.array([0.0, np.pi / 2]),
-            values=np.zeros(2, dtype=complex),
-        )
 
 
 def test_3d_right_invisibility_and_reciprocity():
@@ -196,8 +189,12 @@ def test_3d_right_invisibility_and_reciprocity():
     assert np.max(np.abs(fl - fr)) < 1e-13 * scale
     with pytest.raises(ValueError):
         born_t_3d(v, "left", "plus", ctx.k, 0.0)
-    with pytest.raises(ValueError):
-        born_f_3d(v, "left", np.pi / 2, 0.0)
+    # the 3D f has no 1/cos theta either: it is finite at grazing and
+    # continuous there (measured 1.6e-10 of the scale over the 1e-9 step)
+    grazing = born_f_3d(v, "left", np.pi / 2, az)
+    assert np.all(np.isfinite(grazing))
+    near = born_f_3d(v, "left", np.pi / 2 - 1e-9, az)
+    assert np.max(np.abs(grazing - near)) < 1e-8 * scale
     with pytest.raises(ValueError):
         born_t_values(v, "left", "plus", 0.0)
 
@@ -206,7 +203,7 @@ def test_closed_form_pole_neighborhoods_are_finite():
     # negative harmonics put removable zeros of the denominator on the
     # physical shift range; values must stay smooth through them
     params = _construction(ell=-1, m=1, k=2 * np.pi)  # k = K: shift hits -ell K at cos = 0 edge
-    th = np.linspace(0.0, 1.5607, 200)  # approach the grazing margin
+    th = np.linspace(0.0, np.pi / 2, 200)  # up to grazing itself
     f = closed_form_f_left(params, th)
     assert np.all(np.isfinite(f))
     t = closed_form_t_left(params, "minus", np.linspace(-0.999, 0.999, 501) * 2 * np.pi)

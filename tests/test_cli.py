@@ -97,6 +97,27 @@ def test_amplitude_routes_agree(tmp_path):
     assert complex(a[5, 1], a[5, 2]) == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize("method", ["born", "closed"])
+def test_amplitude_samples_each_arc_to_grazing(tmp_path, method):
+    out = tmp_path / "f.csv"
+    assert main(["amplitude", "--method", method, "--thetas", "21", "--out", str(out)]) == 0
+    config, _, data = read_table(out)
+    # 11 forward rows, then 10 backward; each arc is closed at both edges
+    forward, backward = data[:11], data[11:]
+    assert forward[0, 0] == -np.pi / 2 and forward[-1, 0] == np.pi / 2
+    assert backward[0, 0] == np.pi / 2 and backward[-1, 0] == 3 * np.pi / 2
+    params = ConstructionParams(
+        ell=config["ell"],
+        m=config["m"],
+        envelope=quartic_envelope(config["g0"], config["b"]),
+        ctx=WaveContext(k=config["k"]),
+        slab=config["slab"],
+    )
+    for row in (forward[0], forward[-1]):
+        want = closed_form_f_left(params, row[0])
+        assert complex(row[1], row[2]) == pytest.approx(want, rel=1e-12)
+
+
 def test_amplitude_json_format(tmp_path):
     out = tmp_path / "f.json"
     assert main(["amplitude", "--thetas", "21", "--format", "json", "--out", str(out)]) == 0
@@ -295,6 +316,18 @@ def test_error_exit_codes(tmp_path):
     cfg3 = tmp_path / "magic.json"
     cfg3.write_text(json.dumps({"method": "magic"}))
     assert main(["amplitude", "--config", str(cfg3), "--out", str(tmp_path / "g.csv")]) == 2
+    # config values get the checks of their flags: a choice outside the
+    # option's choices, and a non-integral number for an integer option
+    cfg4 = tmp_path / "xml.json"
+    cfg4.write_text(json.dumps({"format": "xml"}))
+    assert main(["construct", "--config", str(cfg4), "--out", str(tmp_path / "h.csv")]) == 2
+    cfg5 = tmp_path / "half.json"
+    cfg5.write_text(json.dumps({"grid_n": 9.5}))
+    assert main(["verify", "--config", str(cfg5), "--out", str(tmp_path / "w.json")]) == 2
+    # a flag cannot be null, so a config value is null only where the default is
+    cfg6 = tmp_path / "null.json"
+    cfg6.write_text(json.dumps({"g0": None, "slices": None}))
+    assert main(["verify", "--config", str(cfg6), "--out", str(tmp_path / "u.json")]) == 2
 
 
 def test_stdout_output(capsys):
