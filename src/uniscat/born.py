@@ -21,8 +21,8 @@ valid on both the forward and the backward half uniformly.  No grazing 0/0
 ever forms, so every amplitude here takes any angle, grazing included: the
 power budget integrates them over whole arcs and :func:`amplitude_table`
 samples them to the arc edges.  Only the T routes, whose 1/omega diverges
-there, refuse grazing: through :func:`uniscat.grids.omega` in 2D and the
-propagation-disk check of :func:`born_t_3d` in 3D.
+there, refuse grazing, and both through :func:`uniscat.grids.omega`: at |p|
+in 2D and at |pvec| = hypot(px, py) in 3D.
 
 In 3D the same structure holds with transverse momentum pvec and
 
@@ -39,13 +39,12 @@ screen-power observable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .construct import ConstructionParams, phase_over_offset
-from .grids import MomentumGrid, WaveContext, omega
+from .construct import ConstructionParams, _pole_free_ratio
+from .grids import WaveContext, omega
 from .potentials import PotentialSpec
 
 __all__ = [
@@ -68,20 +67,6 @@ def _check_side_sign(side, sign=None):
         raise ValueError(f"side must be one of {_SIDES}, got {side!r}")
     if sign is not None and sign not in _SIGNS:
         raise ValueError(f"sign must be one of {_SIGNS}, got {sign!r}")
-
-
-@dataclass(frozen=True)
-class TransferTable:
-    """One of the four T-functions sampled on a momentum grid."""
-
-    side: str
-    sign: str
-    grid: MomentumGrid
-    values: np.ndarray
-
-    @property
-    def sup(self) -> float:
-        return float(np.max(np.abs(self.values)))
 
 
 # ---------------------------------------------------------------------------
@@ -135,10 +120,7 @@ def born_t_3d(v: PotentialSpec, side: str, sign: str, px, py):
     ctx = _ctx_of(v)
     px = np.asarray(px, dtype=float)
     py = np.asarray(py, dtype=float)
-    psq = px**2 + py**2
-    if np.any(psq >= ctx.k**2):
-        raise ValueError("transverse momentum must stay inside the propagation disk")
-    w = np.sqrt(ctx.k**2 - psq)
+    w = omega(np.hypot(px, py), ctx)
     kz = _shift_argument(ctx, side, sign, w)
     out = -1j * v.ft(px, py, kz) / (2.0 * w)
     return out if np.ndim(out) else complex(out)
@@ -174,8 +156,8 @@ def closed_form_t_left(params: ConstructionParams, sign: str, p):
                 / ( omega(p) (p_mp + l K)(p_mp + m K) ),
 
     with p_mp = k -/+ omega(p).  The parenthesis zeros at p_mp = -l K or
-    -m K (possible when a harmonic is negative) are removable and evaluated
-    through the stable phase ratio.
+    -m K (possible when a harmonic is negative) are removable: the
+    transform's kernel :func:`uniscat.construct._pole_free_ratio` at -p_mp.
     """
     if sign not in _SIGNS:
         raise ValueError(f"sign must be one of {_SIGNS}, got {sign!r}")
@@ -184,7 +166,8 @@ def closed_form_t_left(params: ConstructionParams, sign: str, p):
     ctx = params.ctx
     w = omega(p, ctx)
     shift = ctx.k - w if sign == "plus" else ctx.k + w
-    core = _stable_phase_core(params, shift)
+    roots = (params.ell * params.K, params.m * params.K)
+    core = _pole_free_ratio(params.slab, -shift, roots)
     out = (
         2.0 * params.ell * params.m * params.K**2 * ctx.k
         * core * env.ft(p) / w
@@ -206,33 +189,14 @@ def closed_form_f_left(params: ConstructionParams, theta):
     theta = np.asarray(theta, dtype=float)
     ctx = params.ctx
     shift = ctx.k * (1.0 - np.cos(theta))
-    core = _stable_phase_core(params, shift)
+    roots = (params.ell * params.K, params.m * params.K)
+    core = _pole_free_ratio(params.slab, -shift, roots)
     out = (
         -np.sqrt(2.0 / np.pi) * 1j
         * params.ell * params.m * params.K**2 * ctx.k
         * core * env.ft(ctx.k * np.sin(theta))
     )
     return out if np.ndim(out) else complex(out)
-
-
-def _stable_phase_core(params: ConstructionParams, shift):
-    """(1 - e^{i a shift}) / ((shift + l K)(shift + m K)), poles removed.
-
-    A zero of a parenthesis at shift = -n K (n = l or m negative) coincides
-    with a zero of the phase factor, since a K = 2 pi; the ratio against the
-    nearer parenthesis goes through the stable series,
-    (1 - e^{i t})/t = conj((1 - e^{-i t})/t) for real t.
-    """
-    shift = np.asarray(shift, dtype=float)
-    a, K = params.slab, params.K
-    u1 = shift + params.ell * K
-    u2 = shift + params.m * K
-    pick1 = np.abs(u1) <= np.abs(u2)
-    u = np.where(pick1, u1, u2)
-    other = np.where(pick1, u2, u1)
-    # (1 - e^{i a shift})/u = (1 - e^{i a u})/u = a * conj(phase_over_offset(a u))
-    ratio = a * np.conj(phase_over_offset(a * u))
-    return ratio / other
 
 
 # ---------------------------------------------------------------------------

@@ -94,12 +94,14 @@ def _echo_cfg(config) -> dict:
 
 def _config_value(key, value):
     """A config-file value, put through the conversion and checks argparse
-    gives its flag; null stands only for an option whose default is null."""
+    gives its flag; never a boolean, and null only where the default is."""
     default, spec = _OPTIONS[key]
     if value is None:
         if default is None:
             return None
         raise ValueError(f"config {key} must not be null")
+    if isinstance(value, bool):
+        raise ValueError(f"config {key} cannot take a boolean, got {value!r}")
     convert = spec.get("type", str)
     if convert is int and isinstance(value, float) and not value.is_integer():
         raise ValueError(f"config {key} must be an integer, got {value!r}")

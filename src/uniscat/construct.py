@@ -34,8 +34,9 @@ The full transform collapses to the closed form
                   / ( i Kx (Kx - l K)(Kx - m K) ),
 
 whose apparent poles at Kx in {0, l K, m K} are all removable (the phase
-factor vanishes there too); :func:`phase_over_offset` evaluates such ratios
-stably.
+factor vanishes there too).  One kernel, :func:`_pole_free_ratio` over
+:func:`phase_over_offset`, removes them, for this transform and for the
+closed-form T and f of :mod:`uniscat.born` alike.
 
 The same recipe works in 3D with the slab and harmonics along the scattering
 axis z (thickness c, K = 2 pi / c) and a transverse envelope g(x, y); the
@@ -213,34 +214,26 @@ def potential_value_3d(params: ConstructionParams, x, y, z):
     return out if out.ndim else complex(out)
 
 
-def _pole_free_ratio(params: ConstructionParams, kx):
-    """(1 - e^{-i a Kx}) / ( Kx (Kx - l K)(Kx - m K) ), all poles removed.
+def _pole_free_ratio(a, t, roots):
+    """(1 - e^{-i a t}) / prod_r (t - r), every pole removed.
 
-    Each apparent pole Kx = n K (n in {0, l, m}) is removable because
-    a K = 2 pi makes the phase factor vanish there as well.  The ratio is
-    taken against the nearest of the three roots through
-    :func:`phase_over_offset`; the remaining two factors are regular.
+    Every root r has a r = 0 mod 2 pi, so the phase factor vanishes there
+    too: the transform's roots {0, l K, m K}, and {l K, m K} for the closed
+    forms at t = -shift.  The ratio is taken against the nearest root (the
+    first of equally near ones) through :func:`phase_over_offset`; the
+    other factors are regular.
     """
-    kx = np.asarray(kx, dtype=float)
-    scalar = kx.ndim == 0
-    kx = np.atleast_1d(kx)
-    K, a = params.K, params.slab
-    roots = np.array([0.0, params.ell * K, params.m * K])
-    diffs = kx[..., None] - roots  # (..., 3)
-    nearest = np.argmin(np.abs(diffs), axis=-1)
-    u = np.take_along_axis(diffs, nearest[..., None], axis=-1)[..., 0]
-    prod_others = np.choose(
-        nearest,
-        [
-            diffs[..., 1] * diffs[..., 2],
-            diffs[..., 0] * diffs[..., 2],
-            diffs[..., 0] * diffs[..., 1],
-        ],
-    )
-    # (1 - e^{-i a Kx})/u == (1 - e^{-i a u})/u exactly, since a K n is a
+    t = np.asarray(t, dtype=float)
+    u = t - roots[0]
+    others = 1.0
+    for r in roots[1:]:
+        d = t - r
+        nearer = np.abs(d) < np.abs(u)
+        others = others * np.where(nearer, u, d)
+        u = np.where(nearer, d, u)
+    # (1 - e^{-i a t})/u == (1 - e^{-i a u})/u exactly, since a r is a
     # multiple of 2 pi for each root.
-    out = a * phase_over_offset(a * u) / prod_others
-    return out[0] if scalar else out
+    return a * phase_over_offset(a * u) / others
 
 
 def _closed_form_ft(params: ConstructionParams, psq, gt, kax):
@@ -250,7 +243,8 @@ def _closed_form_ft(params: ConstructionParams, psq, gt, kax):
     scattering axis and ratio :func:`_pole_free_ratio` at kax."""
     ell, m, K, k = params.ell, params.m, params.K, params.ctx.k
     bracket = psq + (kax - 2.0 * k) * kax
-    out = -1j * ell * m * K**2 * bracket * gt * _pole_free_ratio(params, kax)
+    ratio = _pole_free_ratio(params.slab, kax, (0.0, ell * K, m * K))
+    out = -1j * ell * m * K**2 * bracket * gt * ratio
     return out if np.ndim(out) else complex(out)
 
 

@@ -47,7 +47,7 @@ rule on an unrelated node set acts as the independent cross-check
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss

@@ -62,6 +62,8 @@ class Envelope:
             raise ValueError(f"unknown envelope kind {self.kind!r}")
         if not (np.isfinite(self.b) and self.b > 0):
             raise ValueError(f"envelope width must be positive, got {self.b}")
+        if not np.isfinite(self.g0):
+            raise ValueError(f"envelope strength must be finite, got {self.g0}")
 
     @property
     def support(self) -> tuple[float, float]:

@@ -49,9 +49,9 @@ class WaveContext:
 def omega(p, ctx: WaveContext):
     """Longitudinal momentum omega(p) = sqrt(k^2 - p^2) on the oscillating range.
 
-    Accepts scalars or arrays.  Raises ValueError if any |p| >= k: the
-    toolkit has no evanescent channels, and the grazing limit omega -> 0 is
-    deliberately not representable.
+    Accepts scalars or arrays, |pvec| in 3D.  Raises ValueError if any
+    |p| >= k, the package's one grazing rule: there are no evanescent
+    channels, and the grazing limit omega -> 0 is not representable.
     """
     p = np.asarray(p, dtype=float)
     if np.any(np.abs(p) >= ctx.k):

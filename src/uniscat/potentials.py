@@ -438,6 +438,8 @@ def sample_potential(v: PotentialSpec, nx=101, ny=101):
     """
     if v.dim != 2:
         raise ValueError("sampling export is for 2D potentials")
+    if min(nx, ny) < 1:
+        raise ValueError(f"sample counts must be at least 1, got nx={nx}, ny={ny}")
     x = np.linspace(*v.x_support, int(nx))
     y = np.linspace(*v.y_support, int(ny))
     return x, y, v.value(x[:, None], y[None, :])

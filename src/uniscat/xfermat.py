@@ -75,7 +75,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .born import TransferTable, _check_side_sign
+from .born import _check_side_sign
 from .grids import MomentumGrid, delta_vector
 from .potentials import PotentialSpec
 
@@ -176,6 +176,17 @@ class AsymptoticCoeffs:
 
     a: np.ndarray
     b: np.ndarray
+
+
+@dataclass(frozen=True)
+class TransferTable:
+    """One of the four T-functions sampled on the grid nodes."""
+
+    values: np.ndarray
+
+    @property
+    def sup(self) -> float:
+        return float(np.max(np.abs(self.values)))
 
 
 @dataclass(frozen=True)
@@ -332,10 +343,9 @@ def scattering_coeffs(op: TransferOperator, side: str):
     )
 
 
-def _t_table(op: TransferOperator, side: str, sign: str, coeffs) -> TransferTable:
+def _t_table(sign: str, coeffs) -> TransferTable:
     minus, plus = coeffs
-    values = plus.a - minus.a if sign == "plus" else minus.b - plus.b
-    return TransferTable(side=side, sign=sign, grid=op.grid, values=values)
+    return TransferTable(plus.a - minus.a if sign == "plus" else minus.b - plus.b)
 
 
 def extract_t(op: TransferOperator, side: str, sign: str) -> TransferTable:
@@ -347,7 +357,7 @@ def extract_t(op: TransferOperator, side: str, sign: str) -> TransferTable:
     on either side.
     """
     _check_side_sign(side, sign)
-    return _t_table(op, side, sign, scattering_coeffs(op, side))
+    return _t_table(sign, scattering_coeffs(op, side))
 
 
 def transfer_tables(op: TransferOperator) -> dict:
@@ -359,7 +369,7 @@ def transfer_tables(op: TransferOperator) -> dict:
     for side in ("left", "right"):
         coeffs = scattering_coeffs(op, side)
         for sign in ("plus", "minus"):
-            tables[f"{side}_{sign}"] = _t_table(op, side, sign, coeffs)
+            tables[f"{side}_{sign}"] = _t_table(sign, coeffs)
     return tables
 
 
@@ -414,7 +424,7 @@ def check_symplectic(op: TransferOperator) -> float:
 
 
 def classify(op: TransferOperator, tol: float) -> dict:
-    """Scattering classification of an operator at tolerance tol.
+    """Scattering classification of an operator at finite tolerance tol >= 0.
 
     Returns {"sup_norms", "reciprocity_mismatch", "predicates"}: the sup
     norm of each of the four T-vectors 'left_plus', 'left_minus',
@@ -430,6 +440,8 @@ def classify(op: TransferOperator, tol: float) -> dict:
     w_center, so a tol below that floor divided by the largest sup norm
     makes reciprocal_transmission read false from roundoff alone.
     """
+    if not (np.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tolerance must be finite and non-negative, got {tol}")
     tables = transfer_tables(op)
     sup = {key: t.sup for key, t in tables.items()}
     lim = tol * max(sup.values())

@@ -328,6 +328,22 @@ def test_error_exit_codes(tmp_path):
     cfg6 = tmp_path / "null.json"
     cfg6.write_text(json.dumps({"g0": None, "slices": None}))
     assert main(["verify", "--config", str(cfg6), "--out", str(tmp_path / "u.json")]) == 2
+    # a non-finite strength, a negative or non-finite tolerance, and a sample
+    # count below one are argument errors, not numbers to compute with
+    for argv in (
+        ["power", "--g0", "nan"],
+        ["power", "--g0", "1e400"],
+        ["verify", "--g0", "inf"],
+        ["verify", "--tol", "nan"],
+        ["verify", "--tol", "-1"],
+        ["construct", "--nx", "0"],
+    ):
+        assert main([*argv, "--out", str(tmp_path / "t.out")]) == 2, argv
+    # no option takes a JSON boolean, though Python's bool is an int
+    for key in ("slices", "g0"):
+        cfg7 = tmp_path / f"bool_{key}.json"
+        cfg7.write_text(json.dumps({key: True}))
+        assert main(["verify", "--config", str(cfg7), "--out", str(tmp_path / "b.json")]) == 2
 
 
 def test_stdout_output(capsys):

@@ -107,3 +107,8 @@ def test_envelope_validation():
         gaussian_envelope(1.0, -2.0)
     with pytest.raises(ValueError):
         Envelope(kind="triangle", g0=1.0, b=1.0)
+    for g0 in (np.nan, np.inf, -np.inf, complex(1.0, np.nan)):
+        with pytest.raises(ValueError, match="strength must be finite"):
+            quartic_envelope(g0, 1.0)
+        with pytest.raises(ValueError, match="strength must be finite"):
+            Envelope(kind="gaussian", g0=g0, b=1.0)

@@ -4,7 +4,8 @@ The tracer in bench/tracing.py wraps only the plain functions that a module
 lists in its ``__all__``, so trimming an export silently blanks a traced
 layer; the benchmark's workloads and checks call the program through module
 attributes, so removing one of those breaks the benchmark.  This file keeps
-the export lists honest against both.
+the export lists honest against both, and checks that no module keeps an
+import it no longer uses.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from pathlib import Path
 
 import uniscat
 
+SRC = Path(uniscat.__file__).resolve().parent
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 BENCH_RUN = BENCH / "run.py"
 MODULES = (
@@ -103,3 +105,23 @@ def test_benchmark_reads_only_exported_names():
     assert ("uniscat.xfermat", "scattering_coeffs") in reads
     for module, name in sorted(reads):
         assert name in importlib.import_module(module).__all__, f"{module}.{name}"
+
+
+def _unused_imports(tree):
+    """Names a module's top-level imports bind that nothing in it reads
+    (star and __future__ imports aside)."""
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {a.asname or a.name for a in node.names if a.name != "*"}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(bound - used)
+
+
+def test_every_top_level_import_is_used():
+    paths = sorted(SRC.glob("*.py"))
+    assert paths
+    unused = {p.name: _unused_imports(ast.parse(p.read_text())) for p in paths}
+    assert not {name: names for name, names in unused.items() if names}

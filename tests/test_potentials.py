@@ -284,6 +284,9 @@ def test_sample_potential_layout():
     x, y, vals = sample_potential(v, nx=11, ny=7)
     assert x.shape == (11,) and y.shape == (7,) and vals.shape == (11, 7)
     assert vals[3, 2] == v.value(x[3], y[2])
+    for nx, ny in ((0, 7), (11, 0), (-3, 7)):
+        with pytest.raises(ValueError, match="at least 1"):
+            sample_potential(v, nx=nx, ny=ny)
 
 
 def test_term_container_is_lightweight():

@@ -314,6 +314,15 @@ def test_predicates_on_the_construction_distinguish_the_orders():
     assert predicates(op, tol=1e-2)["right_invisible"]
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0, -1e-300])
+def test_classify_rejects_a_bad_tolerance(tol):
+    op = born_operator(_constructed(), gauss_grid(9, CTX))
+    with pytest.raises(ValueError, match="tolerance"):
+        predicates(op, tol)
+    # zero stays valid: it asks for exact darkness, which the left side lacks
+    assert not predicates(op, 0.0)["left_invisible"]
+
+
 def test_spectral_singularity_warning():
     grid = gauss_grid(9, CTX)
     n = grid.n
