@@ -298,6 +298,9 @@ def _cmd_fig2(cfg) -> int:
     ks = [parse_k(tok) for tok in str(cfg["ks"]).split(",") if tok.strip()]
     if not ks:
         raise ValueError("--ks produced an empty wavenumber list")
+    tags = [_k_tag(k) for k in ks]
+    if len(set(tags)) < len(tags):
+        raise ValueError(f"--ks {cfg['ks']} names two wavenumbers with one file name: {tags}")
     n = int(cfg["samples"])
     if n < 1:
         raise ValueError(f"--samples must be positive, got {n}")
@@ -316,14 +319,14 @@ def _cmd_fig2(cfg) -> int:
     )
     os.makedirs(cfg["out_dir"], exist_ok=True)
     files = {}
-    for curve in curves:
-        name = f"fig2_k{_k_tag(curve.k)}.csv"
+    for tag, curve in zip(tags, curves):
+        name = f"fig2_k{tag}.csv"
         path = os.path.join(cfg["out_dir"], name)
         rows = np.column_stack([curve.s_values / slab, curve.values])
         curve_cfg = dict(cfg, k=curve.k)
         curve_cfg.pop("ks")
         _write_table(path, curve_cfg, ("s_over_a", "dP_hat"), rows, "csv")
-        files[_k_tag(curve.k)] = name
+        files[tag] = name
     manifest = {"config": _echo_cfg(cfg), "files": files}
     mpath = os.path.join(cfg["out_dir"], "fig2_manifest.json")
     _write_json(mpath, manifest, indent=2)

@@ -298,19 +298,15 @@ def build_potential_2d(params: ConstructionParams) -> PotentialSpec:
     """
     env = params._env1d()
     a = params.slab
-    K = params.K
+    harmonics = (0, params.ell, params.m)
+    phases = 1j * params.K * np.array(harmonics)
 
-    terms = []
-    for n in (0, params.ell, params.m):
+    # no support mask: the program evaluates fx inside the support only
+    def fx(x):
+        return np.exp(np.multiply.outer(x, phases))
 
-        # no support mask: the program evaluates fx inside the support only
-        def fx(x, n=n):
-            return np.exp(1j * n * K * x)
-
-        def fy_ft(q, n=n):
-            return fourier_coeff_ft(params, n, q)
-
-        terms.append(SeparableTerm(fx=fx, fy_ft=fy_ft))
+    def fy_ft(q):
+        return np.stack([fourier_coeff_ft(params, n, q) for n in harmonics], -1)
 
     g0 = env.g0
     return PotentialSpec(
@@ -318,7 +314,7 @@ def build_potential_2d(params: ConstructionParams) -> PotentialSpec:
         y_support=env.support,
         value_fn=lambda x, y: potential_value_2d(params, x, y),
         ft_fn=lambda kx, ky: constructed_ft_2d(params, kx, ky),
-        terms=tuple(terms),
+        terms=SeparableTerm(fx=fx, fy_ft=fy_ft),
         params=params,
         label=(
             f"constructed2d(ell={params.ell}, m={params.m}, k={params.ctx.k:g}, "

@@ -46,6 +46,13 @@ class WaveContext:
             raise ValueError(f"wavenumber must be finite and positive, got {self.k}")
 
 
+def _count(name: str, n) -> int:
+    """A count as an int; ValueError for a boolean or a non-integral number."""
+    if isinstance(n, (bool, np.bool_)) or not float(n).is_integer():
+        raise ValueError(f"{name} must be an integer, got {n!r}")
+    return int(n)
+
+
 def omega(p, ctx: WaveContext):
     """Longitudinal momentum omega(p) = sqrt(k^2 - p^2) on the oscillating range.
 
@@ -100,6 +107,7 @@ def gauss_grid(n: int, ctx: WaveContext) -> MomentumGrid:
 
     n must be odd and >= 3 so the center node sits exactly at p = 0.
     """
+    n = _count("node count", n)
     if n < 3 or n % 2 == 0:
         raise ValueError(f"node count must be odd and >= 3, got {n}")
     x, w = leggauss(n)

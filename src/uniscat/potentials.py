@@ -17,18 +17,18 @@ phase content of any argument this package produces (|K| <= a few times k).
 
 One factorization vtld(x, q) = sum_t fy_t(q) fx_t(x) defines every 2D
 transverse transform: ``ft_y``, the quadrature ``ft`` and the transfer-matrix
-kernel.  Potentials that are finite sums of separable terms f_x(x) f_y(y)
-with analytic transverse transforms declare them as ``terms`` (fx_t = f_x,
-fy_t = the transform of f_y), so the kernel costs a few vectorized term
-evaluations per chunk of slices instead of a quadrature, which is what keeps
-dense parameter scans cheap; otherwise each y-quadrature node y_j is one
-term, with fy_j(q) = exp(-i q y_j) and fx_j(x) = w_j v(x, y_j).  Either way
-the transform takes an array of x at once, as fx(x) @ fy.T, so a chunk of
-x-nodes costs one fx evaluation and one matrix product.  On the quadrature
-route that evaluation is one ``value`` call on the x-node by y-node tensor,
-or, for a sorted 1-D array of x and a potential that carries ``tensor_fn``
-(a tabulated one), one tensor-grid evaluation of its spline, which gives
-the same values without visiting each point.
+kernel.  A potential declares it as one :class:`SeparableTerm` whose two
+callables carry the term index t on a trailing axis.  Finite sums of
+separable terms f_x(x) f_y(y) with analytic transverse transforms declare
+fx_t = f_x and fy_t = the transform of f_y, so the kernel costs one
+vectorized evaluation per chunk of slices instead of a quadrature, which is
+what keeps dense parameter scans cheap.  Otherwise each y-quadrature node
+y_j is one term, with fy_j(q) = exp(-i q y_j) and fx_j(x) = w_j v(x, y_j):
+a tabulated potential declares that pair with its spline on the x by y-node
+tensor grid, and a potential without terms falls back to it through
+``value``.  Either way the transform takes an array of x at once, as
+fx(x) @ fy.T, so a chunk of x-nodes costs one fx evaluation and one matrix
+product.
 
 A tabulated potential (``potential_from_samples``) interpolates its samples
 with a not-a-knot bicubic spline in numpy, the interpolant FITPACK builds
@@ -45,6 +45,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from .grids import _count
+
 __all__ = [
     "SeparableTerm",
     "PotentialSpec",
@@ -59,11 +61,11 @@ QUAD_NODES = 160
 
 
 class SeparableTerm(NamedTuple):
-    """One product contribution f_x(x) * f_y(y), as the pair (fx, fy_ft).
+    """The products sum_t f_x,t(x) f_y,t(y), as the pair (fx, fy_ft).
 
-    fy_ft is the transverse transform of f_y; f_y itself is carried only by
-    the potential's value function.  Both callables must accept numpy arrays
-    elementwise.
+    fx(x) gives every f_x,t and fy_ft(q) every transverse transform of
+    f_y,t, each with the shape of its argument plus a trailing term axis;
+    the f_y,t themselves are carried only by the potential's value function.
     """
 
     fx: Callable
@@ -79,6 +81,17 @@ def _gl_rule(n: int, a: float, b: float):
     x, w = leggauss(n)
     half = 0.5 * (b - a)
     return a + half * (x + 1.0), half * w
+
+
+def _quadrature_terms(y_support, on_nodes) -> SeparableTerm:
+    """The y-quadrature as separable terms, one per node y_j: fy_j(q) =
+    exp(-i q y_j) and fx_j(x) = w_j v(x, y_j), with on_nodes(x, yn) giving
+    v(x[..., None], yn) for x of any shape."""
+    yn, wn = _gl_rule(QUAD_NODES, *map(float, y_support))
+    return SeparableTerm(
+        fx=lambda x: wn * on_nodes(np.asarray(x, dtype=float), yn),
+        fy_ft=lambda q: np.exp(-1j * np.multiply.outer(q, yn)),
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,12 +112,9 @@ class PotentialSpec:
         Vectorized (x, y) -> complex (2D) or (x, y, z) -> complex (3D).
     ft_fn : callable or None
         Closed-form full Fourier transform, same argument order as `ft`.
-    tensor_fn : callable or None
-        (x, y) -> v on the tensor grid of two nondecreasing 1-D arrays, shape
-        (x.size, y.size); equal to ``value(x[:, None], y)``.  The quadrature
-        route of the transverse transform uses it when it can (2D only).
-    terms : tuple of SeparableTerm or None
-        Separable decomposition for fast transverse transforms (2D only).
+    terms : SeparableTerm or None
+        The transverse factorization (2D only; see the module docstring);
+        without it, the y-quadrature of ``value``.
     params : object or None
         Construction parameters of a constructed potential.
     label : str
@@ -116,8 +126,7 @@ class PotentialSpec:
     value_fn: Callable
     z_support: tuple = None
     ft_fn: Callable = None
-    tensor_fn: Callable = None
-    terms: tuple = None
+    terms: SeparableTerm = None
     params: object = None
     label: str = "potential"
 
@@ -170,24 +179,10 @@ class PotentialSpec:
         """
         if self.dim != 2:
             raise ValueError("transverse transform is defined for 2D potentials")
-        q = np.asarray(q, dtype=float)
-        if self.terms is not None:
-            fy = np.stack([t.fy_ft(q) for t in self.terms], -1).astype(complex)
-
-            def fx(x):
-                return np.stack([t.fx(x) for t in self.terms], -1)
-
-        else:
-            yn, wn = _gl_rule(QUAD_NODES, *map(float, self.y_support))
-            fy = np.exp(-1j * np.multiply.outer(q, yn))
-
-            def fx(x):
-                x = np.asarray(x, dtype=float)
-                if self.tensor_fn is not None and x.ndim == 1 and np.all(x[1:] >= x[:-1]):
-                    return wn * self.tensor_fn(x, yn)
-                return wn * self.value(x[..., None], yn)
-
-        return fy, fx
+        terms = self.terms or _quadrature_terms(
+            self.y_support, lambda x, yn: self.value(x[..., None], yn)
+        )
+        return np.asarray(terms.fy_ft(np.asarray(q, dtype=float)), dtype=complex), terms.fx
 
     def _transverse_transform(self, q):
         """x -> vtld(x, q) at fixed q, for a scalar or an array of x.
@@ -310,10 +305,11 @@ def potential_from_samples(x, y, values) -> PotentialSpec:
     along y and then one along x.  Outside the sample rectangle the argument
     is clamped to it; the support is exactly that rectangle, so the samples
     should cover the region where the field is smooth and nonzero.
-    ``tensor_fn`` evaluates the same spline on a tensor grid, taking the
-    steps along y once per x-knot of the grid, with the same arithmetic as
-    the pointwise values; the transverse quadrature uses it for sorted
-    chunks of x-nodes.
+    The potential declares the y-quadrature terms (see the module
+    docstring), with fx(x) the spline on the tensor grid of x, of any shape
+    or order, by the y-quadrature nodes.  It takes the steps along y once per
+    x-knot between the lowest and the highest cell that x reaches, and then
+    gives the pointwise values bit for bit.
 
     x and y must be finite, strictly increasing and at least 4 long, and the
     samples finite; otherwise ValueError.
@@ -354,20 +350,21 @@ def potential_from_samples(x, y, values) -> PotentialSpec:
         (a0, s0), (a1, s1) = along_y(i, j, wy), along_y(i + 1, j, wy)
         return _blend(a0, a1, s0, s1, wx)
 
-    def tensor_fn(xx, yy):
+    def on_nodes(xx, yn):
         i, wx = _hermite_weights(xx, x)
-        j, wy = _hermite_weights(yy, y)
-        # xx is sorted, so its cells reach only the x-knots i[0] .. i[-1] + 1
-        lo, hi = (i[0], i[-1] + 2) if i.size else (0, 0)
+        j, wy = _hermite_weights(yn, y)
+        # the cells of xx reach only the x-knots i.min() .. i.max() + 1
+        lo, hi = (i.min(), i.max() + 2) if i.size else (0, 0)
         a, s = along_y(slice(lo, hi), j, wy)
         i = i - lo
-        return _blend(a[i], a[i + 1], s[i], s[i + 1], [w[:, None] for w in wx])
+        return _blend(a[i], a[i + 1], s[i], s[i + 1], [w[..., None] for w in wx])
 
+    y_support = (float(y[0]), float(y[-1]))
     return PotentialSpec(
         x_support=(float(x[0]), float(x[-1])),
-        y_support=(float(y[0]), float(y[-1])),
+        y_support=y_support,
         value_fn=value_fn,
-        tensor_fn=tensor_fn,
+        terms=_quadrature_terms(y_support, on_nodes),
         label="sampled",
     )
 
@@ -378,54 +375,47 @@ def random_smooth_potential(seed, amplitude=1.0) -> PotentialSpec:
     A sum of RANDOM_TERMS separable terms: smooth sine profiles along x
     times complex Gaussian wave packets in y.  Every term carries an
     analytic transverse transform, so both the Born amplitudes and the
-    transfer-matrix kernel are assembled without numerical quadrature.  Used
-    by the verification command and by randomized consistency tests.
+    transfer-matrix kernel are assembled without numerical quadrature.  The
+    randomized consistency tests and the benchmark's verification pool draw
+    from it.
     """
     rng = np.random.default_rng(seed)
     L = 1.0
-    terms, profiles = [], []
-    y_lo, y_hi = np.inf, -np.inf
+    draws = []
     for _ in range(RANDOM_TERMS):
         z = amplitude * (rng.uniform(0.3, 1.0) * np.exp(2j * np.pi * rng.uniform()))
-        nx = int(rng.integers(1, 4))
+        nx = rng.integers(1, 4)
         phase = rng.uniform(0.0, 2.0 * np.pi)
         mu = rng.uniform(-0.5, 0.5)
         sigma = rng.uniform(0.3, 0.8)
         qy = rng.uniform(-2.0, 2.0)
-        y_lo = min(y_lo, mu - 8.0 * sigma)
-        y_hi = max(y_hi, mu + 8.0 * sigma)
+        # sigma**2 of the Python float (libm pow), which numpy's square can
+        # miss by an ulp, so that a seed keeps its values bit for bit
+        draws.append((z, nx, phase, mu, sigma, sigma**2, qy))
+    z, nx, phase, mu, sigma, var, qy = map(np.array, zip(*draws))
 
-        def fx(x, z=z, nx=nx, phase=phase):
-            x = np.asarray(x, dtype=float)
-            inside = (x >= 0.0) & (x <= L)
-            return np.where(inside, z * np.sin(np.pi * nx * x / L + phase) ** 2, 0.0)
+    def fx(x):
+        x = np.asarray(x, dtype=float)[..., None]
+        inside = (x >= 0.0) & (x <= L)
+        return np.where(inside, z * np.sin(np.pi * nx * x / L + phase) ** 2, 0.0)
 
-        def fy(y, mu=mu, sigma=sigma, qy=qy):
-            y = np.asarray(y, dtype=float)
-            return np.exp(-((y - mu) ** 2) / (2.0 * sigma**2) + 1j * qy * y)
+    def fy(y):
+        y = np.asarray(y, dtype=float)[..., None]
+        return np.exp(-((y - mu) ** 2) / (2.0 * var) + 1j * qy * y)
 
-        def fy_ft(q, mu=mu, sigma=sigma, qy=qy):
-            q = np.asarray(q, dtype=float)
-            return (
-                sigma
-                * np.sqrt(2.0 * np.pi)
-                * np.exp(-1j * (q - qy) * mu - sigma**2 * (q - qy) ** 2 / 2.0)
-            )
-
-        terms.append(SeparableTerm(fx=fx, fy_ft=fy_ft))
-        profiles.append(fy)
+    def fy_ft(q):
+        q = np.asarray(q, dtype=float)[..., None]
+        packet = np.exp(-1j * (q - qy) * mu - var * (q - qy) ** 2 / 2.0)
+        return sigma * np.sqrt(2.0 * np.pi) * packet
 
     def value_fn(x, y):
-        out = np.zeros(np.broadcast(x, y).shape, dtype=complex)
-        for t, fy in zip(terms, profiles):
-            out = out + np.asarray(t.fx(x)) * np.asarray(fy(y))
-        return out
+        return np.sum(fx(x) * fy(y), axis=-1)
 
     return PotentialSpec(
         x_support=(0.0, L),
-        y_support=(float(y_lo), float(y_hi)),
+        y_support=(float(np.min(mu - 8.0 * sigma)), float(np.max(mu + 8.0 * sigma))),
         value_fn=value_fn,
-        terms=tuple(terms),
+        terms=SeparableTerm(fx=fx, fy_ft=fy_ft),
         label=f"random-smooth-{seed}",
     )
 
@@ -438,8 +428,9 @@ def sample_potential(v: PotentialSpec, nx=101, ny=101):
     """
     if v.dim != 2:
         raise ValueError("sampling export is for 2D potentials")
+    nx, ny = _count("nx", nx), _count("ny", ny)
     if min(nx, ny) < 1:
         raise ValueError(f"sample counts must be at least 1, got nx={nx}, ny={ny}")
-    x = np.linspace(*v.x_support, int(nx))
-    y = np.linspace(*v.y_support, int(ny))
+    x = np.linspace(*v.x_support, nx)
+    y = np.linspace(*v.y_support, ny)
     return x, y, v.value(x[:, None], y[None, :])

@@ -76,7 +76,7 @@ from functools import cached_property
 import numpy as np
 
 from .born import _check_side_sign
-from .grids import MomentumGrid, delta_vector
+from .grids import MomentumGrid, _count, delta_vector
 from .potentials import PotentialSpec
 
 __all__ = [
@@ -246,7 +246,7 @@ def evolve_transfer(v: PotentialSpec, grid: MomentumGrid, slices: int = None) ->
     """
     if slices is None:
         slices = default_slices(v, grid)
-    slices = int(slices)
+    slices = _count("slice count", slices)
     if slices < 1:
         raise ValueError(f"slice count must be positive, got {slices}")
     factors = _generator_factors(v, grid)

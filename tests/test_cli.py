@@ -292,6 +292,15 @@ def test_config_file_layering(tmp_path):
     assert data.shape == (35, 4)
 
 
+def test_fig2_refuses_two_wavenumbers_with_one_file_name(tmp_path):
+    # the file tag keeps six significant digits, so these two curves would
+    # share fig2_k7.csv; the refusal comes before any output is made
+    for ks in ("7.0000001,7.0000002", "2pi,2pi"):
+        out = tmp_path / "out"
+        assert main(["fig2", "--ks", ks, "--samples", "3", "--out-dir", str(out)]) == 2
+        assert not out.exists()
+
+
 def test_error_exit_codes(tmp_path):
     # bad wavenumber text -> argument error
     assert main(["construct", "--k", "nope", "--out", str(tmp_path / "x.csv")]) == 2

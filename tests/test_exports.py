@@ -5,20 +5,26 @@ lists in its ``__all__``, so trimming an export silently blanks a traced
 layer; the benchmark's workloads and checks call the program through module
 attributes, so removing one of those breaks the benchmark.  This file keeps
 the export lists honest against both, and checks that no module keeps an
-import it no longer uses.
+import it no longer uses and that every name README.md quotes still exists.
 """
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib
+import importlib.util
 import inspect
+import json
+import re
 from pathlib import Path
 
 import uniscat
+import uniscat.cli
 
 SRC = Path(uniscat.__file__).resolve().parent
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
 BENCH_RUN = BENCH / "run.py"
 MODULES = (
     uniscat.born,
@@ -125,3 +131,64 @@ def test_every_top_level_import_is_used():
     assert paths
     unused = {p.name: _unused_imports(ast.parse(p.read_text())) for p in paths}
     assert not {name: names for name, names in unused.items() if names}
+
+
+def _readme_names():
+    """Every backticked span of README.md that reads as a Python name,
+    dotted or not."""
+    spans = re.findall(r"`([^`\n]+)`", (ROOT / "README.md").read_text())
+    return sorted({s for s in spans if re.fullmatch(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*", s)})
+
+
+def _report_keys(tmp_path):
+    """Every key, nested ones included, of a small ``uniscat verify`` report."""
+    out = tmp_path / "report.json"
+    argv = ["verify", "--grid-n", "3", "--slices", "2", "--out", str(out)]
+    assert uniscat.cli.main(argv) == 0
+    keys, todo = set(), [json.loads(out.read_text())]
+    while todo:
+        blob = todo.pop()
+        keys |= set(blob)
+        todo += [v for v in blob.values() if isinstance(v, dict)]
+    return keys
+
+
+def test_every_name_the_readme_quotes_resolves(tmp_path):
+    # a name resolves as an attribute path from uniscat or one of its
+    # modules, an attribute or dataclass field of a class they define, a
+    # command or option of the CLI, a key of the verify report, a test, a
+    # path in the repository, or an importable module
+    modules = [uniscat, uniscat.cli, *MODULES]
+    members = set()
+    for module in modules:
+        for cls in vars(module).values():
+            if inspect.isclass(cls) and cls.__module__ == module.__name__:
+                members |= set(vars(cls))
+                if dataclasses.is_dataclass(cls):
+                    members |= {f.name for f in dataclasses.fields(cls)}
+    members |= set(uniscat.cli._COMMANDS) | set(uniscat.cli._OPTIONS)
+    members |= _report_keys(tmp_path)
+    members |= {
+        node.name
+        for path in (ROOT / "tests").glob("test_*.py")
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.FunctionDef)
+    }
+
+    def resolves(name):
+        head, *rest = name.split(".")
+        for root in modules:
+            obj = root if head == root.__name__.split(".")[-1] else getattr(root, head, None)
+            for part in rest:
+                obj = getattr(obj, part, None)
+            if obj is not None:
+                return True
+        return (
+            name in members
+            or (ROOT / name).exists()
+            or ("." not in name and importlib.util.find_spec(name) is not None)
+        )
+
+    names = _readme_names()
+    assert "potential_from_samples" in names and "grids.omega" in names
+    assert [name for name in names if not resolves(name)] == []

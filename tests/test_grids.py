@@ -67,9 +67,11 @@ def test_gauss_grid_symmetry_and_reversal():
 
 def test_gauss_grid_rejects_even_or_tiny_counts():
     ctx = WaveContext(k=1.0)
-    for bad in (2, 4, 1, 0, -3):
+    # a boolean or a fractional count is refused too; an integral float is a count
+    for bad in (2, 4, 1, 0, -3, True, 41.5, np.nan, np.inf):
         with pytest.raises(ValueError):
             gauss_grid(bad, ctx)
+    assert np.array_equal(gauss_grid(41.0, ctx).nodes, gauss_grid(41, ctx).nodes)
 
 
 def test_delta_vector_reproduces_point_evaluation():

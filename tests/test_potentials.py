@@ -9,9 +9,13 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 
 from uniscat import (
+    ConstructionParams,
     PotentialSpec,
     SeparableTerm,
+    WaveContext,
+    build_potential_2d,
     potential_from_samples,
+    quartic_envelope,
     random_smooth_potential,
     sample_potential,
 )
@@ -49,7 +53,7 @@ def test_random_potential_is_deterministic():
 def test_random_potential_support_and_terms():
     v = random_smooth_potential(7)
     assert v.dim == 2
-    assert v.terms is not None and len(v.terms) == 3
+    assert v.terms.fx(0.5).shape == (3,) and v.terms.fy_ft(np.zeros(2)).shape == (2, 3)
     assert v.value(-0.1, 0.0) == 0.0
     assert v.value(1.1, 0.0) == 0.0
     assert v.value(0.5, 0.3) != 0.0
@@ -69,25 +73,25 @@ def test_transverse_ft_reduces_to_term_sum():
     v = random_smooth_potential(9)
     q = np.array([-3.0, 0.0, 4.5])
     for x in (0.2, 0.55, 0.9):
-        direct = sum(complex(t.fx(x)) * np.asarray(t.fy_ft(q)) for t in v.terms)
+        direct = np.sum(v.terms.fx(x) * v.terms.fy_ft(q), axis=-1)
         assert np.allclose(v.ft_y(x, q), direct, rtol=1e-13, atol=1e-15)
     assert v.ft_y(-0.5, 1.0) == 0.0
     assert np.array_equal(v.ft_y(1.7, q), np.zeros(3))
 
 
 def test_transverse_ft_quadrature_route_agrees_with_terms():
-    v = random_smooth_potential(3)
-    # strip the separable decomposition to force the quadrature path
-    vq = PotentialSpec(
-        x_support=v.x_support,
-        y_support=v.y_support,
-        value_fn=v.value_fn,
+    env = quartic_envelope(1.0, 1.0)
+    construction = build_potential_2d(
+        ConstructionParams(ell=-1, m=1, envelope=env, ctx=WaveContext(k=4.0 * np.pi))
     )
     q = np.array([-2.0, 1.0, 5.0])
-    for x in (0.35, 0.7):
-        a = v.ft_y(x, q)
-        b = vq.ft_y(x, q)
-        assert np.max(np.abs(a - b)) < 1e-10 * max(1.0, np.max(np.abs(a)))
+    for v in (random_smooth_potential(3), construction):
+        # strip the separable decomposition to force the quadrature path
+        vq = replace(v, terms=None)
+        for x in (0.35, 0.7):
+            a = v.ft_y(x, q)
+            b = vq.ft_y(x, q)
+            assert np.max(np.abs(a - b)) < 1e-10 * max(1.0, np.max(np.abs(a)))
 
 
 def test_transverse_transform_takes_an_array_of_x():
@@ -100,38 +104,35 @@ def test_transverse_transform_takes_an_array_of_x():
         x_support=(0.0, 1.0),
         y_support=(-0.5, 0.5),
         value_fn=lambda x, y: np.exp(2j * x) * (np.abs(y) <= 0.5),
-        terms=(
-            SeparableTerm(
-                fx=lambda x: np.exp(2j * x), fy_ft=lambda q: np.sinc(q / (2.0 * np.pi))
-            ),
+        terms=SeparableTerm(
+            fx=lambda x: np.exp(2j * np.asarray(x))[..., None],
+            fy_ft=lambda q: np.sinc(q / (2.0 * np.pi))[..., None],
         ),
     )
     v = random_smooth_potential(6)
     copy = potential_from_samples(*sample_potential(v, 41, 41))
-    assert copy.terms is None and copy.x_support == (0.0, 1.0)
-    # the copy's tensor-grid route takes only nondecreasing 1-D x: record
-    # which x reach it
+    assert copy.terms is not None and copy.x_support == (0.0, 1.0)
+    # record which x reach the copy's one fx evaluation
     seen = []
 
-    def tensor_fn(x, y):
+    def fx(x):
         seen.append(x)
-        return copy.tensor_fn(x, y)
+        return copy.terms.fx(x)
 
-    spy = replace(copy, tensor_fn=tensor_fn)
+    spy = replace(copy, terms=copy.terms._replace(fx=fx))
     q = np.array([[-3.0, 0.0], [1.5, 4.0]])
     sorted_xs = np.array([-0.5, 0.0, 0.13, 0.5, 0.87, 1.0, 1.7])
-    # a permuted array sends the copy to the pointwise fallback; an array
-    # inside the support skips the zero-filled buffer
+    # a permuted array takes the same route as a sorted one; an array inside
+    # the support skips the zero-filled buffer
     permuted = sorted_xs[[3, 6, 1, 4, 0, 5, 2]]
     inside = np.array([0.0, 0.13, 0.5, 0.87, 1.0])
-    for xs, reaching in ((sorted_xs, sorted_xs[1:-1]), (permuted, None), (inside, inside)):
+    for xs in (sorted_xs, permuted, inside):
         outside = (xs < 0.0) | (xs > 1.0)
         for pot in (terms, spy):
             seen.clear()
             got = pot._transverse_transform(q)(xs)
             if pot is spy:
-                assert len(seen) == (reaching is not None)
-                assert reaching is None or np.array_equal(seen[0], reaching)
+                assert len(seen) == 1 and np.array_equal(seen[0], xs[~outside])
             want = np.stack([pot.ft_y(x, q) for x in xs])
             assert got.shape == xs.shape + q.shape
             assert np.all(got[outside] == 0.0)
@@ -145,12 +146,28 @@ def test_tensor_grid_values_equal_the_pointwise_values(samples):
     # against the y-quadrature nodes
     v = random_smooth_potential(6)
     copy = potential_from_samples(*sample_potential(v, samples, samples))
-    assert copy.tensor_fn is not None and v.tensor_fn is None
     # the 65 nodes of the sixth 32-slice chunk of a 400-slice evolution
     x = np.linspace(*copy.x_support, 801)[320:385]
-    yn, _ = _gl_rule(QUAD_NODES, *copy.y_support)
-    want = copy.value(x[:, None], yn)
-    assert np.array_equal(copy.tensor_fn(x, yn), want)
+    yn, wn = _gl_rule(QUAD_NODES, *copy.y_support)
+    want = wn * copy.value(x[:, None], yn)
+    assert np.array_equal(copy.terms.fx(x), want)
+
+
+def test_sampled_terms_take_x_of_any_shape_and_order():
+    # the copy's y-quadrature terms evaluate the spline on x by the y-nodes
+    # for any x, unsorted and repeated or two-dimensional, with the pointwise
+    # values bit for bit
+    copy = potential_from_samples(*sample_potential(random_smooth_potential(6), 101, 101))
+    yn, wn = _gl_rule(QUAD_NODES, *copy.y_support)
+    rng = np.random.default_rng(8)
+    unsorted = rng.uniform(*copy.x_support, 37)
+    unsorted[5] = unsorted[30]
+    for x in (unsorted, unsorted[:36].reshape(4, 9), np.float64(0.4)):
+        got = copy.terms.fx(x)
+        assert got.shape == np.shape(x) + yn.shape
+        assert np.array_equal(got, wn * copy.value(x[..., None], yn))
+    q = np.array([-3.0, 0.5])
+    assert np.array_equal(copy.terms.fy_ft(q), np.exp(-1j * np.multiply.outer(q, yn)))
 
 
 def test_sampled_copy_reproduces_the_transform():
@@ -206,7 +223,9 @@ def test_sampled_spline_reproduces_a_bicubic(nx, ny):
     want = p(xs)[:, None] * q(ys)
     scale = np.max(np.abs(want))
     assert np.max(np.abs(copy.value(xs[:, None], ys) - want)) <= 1e-13 * scale
-    assert np.max(np.abs(copy.tensor_fn(xs, ys) - want)) <= 1e-13 * scale
+    yn, wn = _gl_rule(QUAD_NODES, *copy.y_support)
+    want = wn * p(xs)[:, None] * q(yn)
+    assert np.max(np.abs(copy.terms.fx(xs) - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("nx, ny", [(41, 41), (101, 81), (401, 401)])
@@ -287,6 +306,11 @@ def test_sample_potential_layout():
     for nx, ny in ((0, 7), (11, 0), (-3, 7)):
         with pytest.raises(ValueError, match="at least 1"):
             sample_potential(v, nx=nx, ny=ny)
+    # a fractional or boolean count is refused, not truncated
+    for nx, ny in ((2.9, 3), (3, True), (np.inf, 3)):
+        with pytest.raises(ValueError, match="integer"):
+            sample_potential(v, nx=nx, ny=ny)
+    assert sample_potential(v, nx=11.0, ny=7)[2].shape == (11, 7)
 
 
 def test_term_container_is_lightweight():

@@ -170,13 +170,14 @@ def test_factored_evolution_equals_dense_generator_rk4():
 
 
 def test_tensor_grid_route_equals_the_pointwise_route():
-    # a tabulated copy evaluates its kernel on the spline's tensor grid; the
-    # same copy without it goes through pointwise values, which stay the
-    # reference for both the evolution and the independent Born operator
+    # a tabulated copy declares its y-quadrature terms, which evaluate the
+    # spline on the tensor grid; the same copy without them goes through
+    # pointwise values, which stay the reference for both the evolution and
+    # the independent Born operator
     grid = gauss_grid(15, CTX)
     copy = potential_from_samples(*sample_potential(_constructed(), 101, 101))
-    pointwise = replace(copy, tensor_fn=None)
-    assert copy.tensor_fn is not None
+    pointwise = replace(copy, terms=None)
+    assert copy.terms is not None
     for route in (evolve_transfer, born_operator):
         assert np.array_equal(route(copy, grid).matrix, route(pointwise, grid).matrix)
 
@@ -339,17 +340,26 @@ def test_integration_error_on_non_finite_values():
         x_support=(0.0, 1.0),
         y_support=(-1.0, 1.0),
         value_fn=lambda x, y: np.full(np.broadcast(x, y).shape, np.nan, dtype=complex),
-        terms=(
-            SeparableTerm(
-                fx=lambda x: np.full(np.shape(x), np.nan),
-                fy_ft=lambda q: np.ones(np.shape(q), dtype=complex),
-            ),
+        terms=SeparableTerm(
+            fx=lambda x: np.full(np.shape(x) + (1,), np.nan),
+            fy_ft=lambda q: np.ones(np.shape(q) + (1,), dtype=complex),
         ),
     )
     grid = gauss_grid(9, CTX)
     with pytest.raises(IntegrationError) as err:
         evolve_transfer(bad, grid, slices=8)
     assert err.value.slices == 8
+
+
+def test_slice_count_is_refused_unless_integral():
+    # a fractional or boolean count is refused, not truncated to an int
+    v = _constructed()
+    grid = gauss_grid(9, CTX)
+    for bad, match in ((2.7, "integer"), (True, "integer"), (np.nan, "integer"), (0, "positive")):
+        with pytest.raises(ValueError, match=match):
+            evolve_transfer(v, grid, slices=bad)
+    op = evolve_transfer(v, grid, slices=3.0)
+    assert op.slices == 3 and np.array_equal(op.matrix, evolve_transfer(v, grid, slices=3).matrix)
 
 
 def test_default_slice_count():
