@@ -175,6 +175,19 @@ def closed_form_t_left(params: ConstructionParams, sign: str, p):
     return out if np.ndim(out) else complex(out)
 
 
+def _closed_form_left_factor(params: ConstructionParams, shift):
+    """The factor c of f^l(theta) = c gt(k sin theta) (see
+    :func:`closed_form_f_left`), at shift = k (1 - cos theta).  It depends
+    on theta only through the shift, so it is even in theta."""
+    roots = (params.ell * params.K, params.m * params.K)
+    core = _pole_free_ratio(params.slab, -shift, roots)
+    return (
+        -np.sqrt(2.0 / np.pi) * 1j
+        * params.ell * params.m * params.K**2 * params.ctx.k
+        * core
+    )
+
+
 def closed_form_f_left(params: ConstructionParams, theta):
     """Left amplitude f^l(theta) of the construction in closed form.
 
@@ -183,18 +196,14 @@ def closed_form_f_left(params: ConstructionParams, theta):
                  / ( (k(1-cos th) + l K)(k(1-cos th) + m K) ),
 
     uniformly on both halves (the shift k(1 - cos theta) equals p_minus
-    forward and p_plus backward), grazing included.
+    forward and p_plus backward), grazing included.  Everything but gt is
+    the even factor :func:`_closed_form_left_factor`.
     """
     env = params._env1d()
     theta = np.asarray(theta, dtype=float)
-    ctx = params.ctx
-    shift = ctx.k * (1.0 - np.cos(theta))
-    roots = (params.ell * params.K, params.m * params.K)
-    core = _pole_free_ratio(params.slab, -shift, roots)
-    out = (
-        -np.sqrt(2.0 / np.pi) * 1j
-        * params.ell * params.m * params.K**2 * ctx.k
-        * core * env.ft(ctx.k * np.sin(theta))
+    k = params.ctx.k
+    out = _closed_form_left_factor(params, k * (1.0 - np.cos(theta))) * env.ft(
+        k * np.sin(theta)
     )
     return out if np.ndim(out) else complex(out)
 

@@ -24,24 +24,35 @@ du(y) = (1 + cos theta) xi over the screen,
 
     dP_screen(s) = (1 / s) int_{-s/2}^{s/2} du dy,   r = sqrt(d^2 + y^2).
 
-One xi kernel serves :func:`xi` and the screen integrand, and both take f
-as the closed-form left amplitude of a construction.  Both write the
-phase k r (1 - cos theta) without cancellation: :func:`xi` as
-2 k r sin^2(theta / 2), the screen integrand as k y^2 / (r + d), which also
-takes 1 + cos theta as 1 + d/r.
+One xi kernel serves :func:`xi` and both screen integrands, given the
+amplitude f.  Both write the phase k r (1 - cos theta) without
+cancellation: :func:`xi` as 2 k r sin^2(theta / 2), the screen integrands
+as k y^2 / (r + d), which also take 1 + cos theta as 1 + d/r.
 
-The phase k (r - d) oscillates fast for wide screens, so the integral is
-done with vectorized 15-point Gauss-Kronrod panels cut at pi/4 phase
-increments, bisected adaptively on the embedded 7-point error estimate.
-The cuts do not depend on s, so a sweep over widths (:func:`fig2_curves`)
-evaluates the panels between cuts once for all widths, as left/right pairs
-from the centre outward, plus two end panels per width, in one integrand
-call.  Prefix sums over the pairs then give every width's sum and error
-estimate at once, and only widths over their error budget are refined, one
-by one, by the same bisection as the arcs.  :func:`screen_power` is the
-one-width case of the same pass.  A non-adaptive composite Gauss-Legendre
-rule on an unrelated node set acts as the independent cross-check
-(:func:`screen_power_oracle`).
+The screen is centred, so the integral folds onto y >= 0.  The closed-form
+amplitude is f^l(theta) = c(theta) gt(k sin theta), where c depends on
+theta only through k (1 - cos theta) and is even, and g is g0 times a real
+profile, so gt(-q) = g0 conj(gt(q) / g0).  Hence
+
+    du(y) + du(-y) = 2 (1 + d/r) Re[sqrt(i / (k r)) e^{i k (r - d)}
+                                    c(theta) gt_even(k sin theta)],
+
+gt_even(q) = (gt(q) + gt(-q)) / 2 (`Envelope.ft_even`): a centred screen
+sees only the even part of g.
+
+The phase k (r - d) oscillates fast for wide screens, so the folded
+integral is done with vectorized 15-point Gauss-Kronrod panels cut at pi/4
+phase increments, bisected adaptively on the embedded 7-point error
+estimate.  The cuts do not depend on s, so a sweep over widths
+(:func:`fig2_curves`) evaluates the panels between cuts once for all
+widths, from the centre outward, plus one end panel per width, in one
+integrand call.  Prefix sums over the panels then give every width's sum
+and error estimate at once, and only widths over their error budget are
+refined, one by one, by the same bisection as the arcs.
+:func:`screen_power` is the one-width case of the same pass.  A
+non-adaptive composite Gauss-Legendre rule on an unrelated node set, over
+the whole screen and on the unfolded integrand, acts as the independent
+cross-check (:func:`screen_power_oracle`).
 """
 
 from __future__ import annotations
@@ -52,7 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .born import born_f_2d, closed_form_f_left
+from .born import _closed_form_left_factor, born_f_2d, closed_form_f_left
 from .construct import ConstructionParams
 from .envelopes import quartic_envelope
 from .grids import WaveContext
@@ -135,10 +146,17 @@ class ScreenSpec:
     s: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.d) and self.d > 0):
-            raise ValueError(f"screen distance must be positive, got {self.d}")
-        if not (np.isfinite(self.s) and self.s > 0):
-            raise ValueError(f"screen width must be positive, got {self.s}")
+        _check_screen(self.d, self.s)
+
+
+def _check_screen(d, s):
+    """ScreenSpec's checks, for one width s or an array of widths."""
+    if not (np.isfinite(d) and d > 0):
+        raise ValueError(f"screen distance must be positive, got {d}")
+    s = np.asarray(s)
+    bad = ~(np.isfinite(s) & (s > 0))
+    if np.any(bad):
+        raise ValueError(f"screen width must be positive, got {s[bad][0]}")
 
 
 @dataclass(frozen=True)
@@ -266,10 +284,11 @@ def _check_construction(params):
         )
 
 
-def _xi(params: ConstructionParams, r, theta, phase):
-    """The one xi kernel, given its phase k r (1 - cos theta) precomputed."""
-    pref = np.exp(1j * (phase + np.pi / 4.0)) / np.sqrt(params.ctx.k * r)
-    return np.real(pref * closed_form_f_left(params, theta))
+def _xi(k, r, phase, f):
+    """The one xi kernel, given its phase k r (1 - cos theta) precomputed
+    and the amplitude f."""
+    pref = np.exp(1j * (phase + np.pi / 4.0)) / np.sqrt(k * r)
+    return np.real(pref * f)
 
 
 def xi(params: ConstructionParams, r, theta):
@@ -278,10 +297,12 @@ def xi(params: ConstructionParams, r, theta):
     f is the closed-form left amplitude of the construction `params`.
     """
     _check_construction(params)
+    k = params.ctx.k
     r = np.asarray(r, dtype=float)
     theta = np.asarray(theta, dtype=float)
     # 1 - cos theta = 2 sin^2(theta / 2) avoids cancellation near theta = 0
-    return _xi(params, r, theta, 2.0 * params.ctx.k * r * np.sin(0.5 * theta) ** 2)
+    phase = 2.0 * k * r * np.sin(0.5 * theta) ** 2
+    return _xi(k, r, phase, closed_form_f_left(params, theta))
 
 
 def _screen_integrand(params: ConstructionParams, d):
@@ -293,7 +314,30 @@ def _screen_integrand(params: ConstructionParams, d):
         r = np.hypot(d, y)
         # r - d = y^2 / (r + d) avoids cancellation at wide screens
         phase = k * (y * y / (r + d))
-        return (1.0 + d / r) * _xi(params, r, np.arctan2(y, d), phase)
+        f = closed_form_f_left(params, np.arctan2(y, d))
+        return (1.0 + d / r) * _xi(k, r, phase, f)
+
+    return integrand
+
+
+def _folded_screen_integrand(params: ConstructionParams, d):
+    """y -> du(y) + du(-y) on a screen at distance d, for y >= 0.
+
+    r and the phase are even in y, and so is the factor c of f^l = c gt
+    (it depends on theta only through k (1 - cos theta)), so the pair is
+    2 (1 + d/r) xi with f replaced by c times the transform of the
+    envelope's even part at k sin theta.
+    """
+    _check_construction(params)
+    k = params.ctx.k
+    env = params._env1d()
+
+    def integrand(y):
+        r = np.hypot(d, y)
+        phase = k * (y * y / (r + d))
+        theta = np.arctan2(y, d)
+        c = _closed_form_left_factor(params, k * (1.0 - np.cos(theta)))
+        return 2.0 * (1.0 + d / r) * _xi(k, r, phase, c * env.ft_even(k * np.sin(theta)))
 
     return integrand
 
@@ -318,25 +362,26 @@ def _gk_panels(fn_y, lo, hi):
 def _screen_sweep(params: ConstructionParams, d, s_values) -> np.ndarray:
     """dP_screen at every width of s_values, from one shared set of panels.
 
-    A width s is cut at the pi/4 phase increments c_1 < c_2 < ... of
-    k (r - d) below s/2 (c_0 = 0).  With n such cuts it has the whole
-    panels L_j = [-c_j, -c_{j-1}] and R_j = [c_{j-1}, c_j] for j = 1 .. n,
-    paired from the centre outward, and the end panels [-s/2, -c_n] and
-    [c_n, s/2].  The cuts do not depend on s, so a narrower screen's pairs
-    are a prefix of the widest screen's.  Every pair and the two end panels
-    of every width go through the integrand in one batch, and with the
-    prefix sums P[n] = sum_{j <= n} (L_j + R_j) (P[0] = 0) each width
-    reads (left end + P[n]) + right end, for its sum and for its error
-    estimate alike, all widths at once.  A prefix of length n does not
-    depend on the widest width and panel sums do not depend on their batch,
-    so every width gets the same value as a sweep of that width alone.
+    The screen is centred, so dP_screen(s) = (1/s) int_0^{s/2} (du(y) +
+    du(-y)) dy, the folded integrand.  A width s is cut at the pi/4 phase
+    increments c_1 < c_2 < ... of k (r - d) below s/2 (c_0 = 0).  With n
+    such cuts it has the whole panels [c_{j-1}, c_j] for j = 1 .. n and the
+    end panel [c_n, s/2].  The cuts do not depend on s, so a narrower
+    screen's whole panels are a prefix of the widest screen's.  Every whole
+    panel and the end panel of every width go through the integrand in one
+    batch, and with the prefix sums P[n] = sum_{j <= n} [c_{j-1}, c_j]
+    (P[0] = 0) each width reads P[n] + end panel, for its sum and for its
+    error estimate alike, all widths at once.  A prefix of length n does
+    not depend on the widest width and panel sums do not depend on their
+    batch, so every width gets the same value as a sweep of that width
+    alone.
 
     Only widths whose summed error estimate exceeds SCREEN_ABS_TOL * s are
     refined, each on its own from the same panels: bisect wherever the
     embedded Gauss rule disagrees with the Kronrod one until the summed
     estimate drops below the budget.
     """
-    integrand = _screen_integrand(params, d)
+    integrand = _folded_screen_integrand(params, d)
     k = params.ctx.k
     s_values = np.asarray(s_values, dtype=float)
     half = 0.5 * s_values
@@ -346,24 +391,22 @@ def _screen_sweep(params: ConstructionParams, d, s_values) -> np.ndarray:
     cuts = np.concatenate([[0.0], np.sqrt(rad * rad - d * d)])
     used = np.minimum(n_cuts, np.searchsorted(cuts[1:], half))
     edges = cuts[: used.max(initial=0) + 1]
-    whole, n_s = edges.size - 1, s_values.size
-    # [L_1 .. L_whole | R_1 .. R_whole | left ends | right ends]
-    lo_all = np.concatenate([-edges[1:], edges[:-1], -half, edges[used]])
-    hi_all = np.concatenate([-edges[:-1], edges[1:], -edges[used], half])
+    whole = edges.size - 1
+    # [whole panels 1 .. whole | end panels]
+    lo_all = np.concatenate([edges[:-1], edges[used]])
+    hi_all = np.concatenate([edges[1:], half])
     total_all, err_all = _gk_panels(integrand, lo_all, hi_all)
 
     def per_width(x):
-        pairs = np.cumsum(np.concatenate([[0.0], x[:whole] + x[whole : 2 * whole]]))
-        return (x[2 * whole : 2 * whole + n_s] + pairs[used]) + x[2 * whole + n_s :]
+        return np.cumsum(np.concatenate([[0.0], x[:whole]]))[used] + x[whole:]
 
     out = per_width(total_all) / s_values
     budgets = SCREEN_ABS_TOL * s_values
     for i in np.flatnonzero(per_width(err_all) > budgets):
-        n, budget = used[i], budgets[i]
-        idx = np.r_[2 * whole + i, :n, whole : whole + n, 2 * whole + n_s + i]
+        idx = np.r_[: used[i], whole + i]
         _, _, total, _ = _bisect(
             integrand, lo_all[idx], hi_all[idx], total_all[idx], err_all[idx],
-            budget, SCREEN_MAX_DEPTH, "screen integral",
+            budgets[i], SCREEN_MAX_DEPTH, "screen integral",
         )
         out[i] = np.sum(total) / s_values[i]
     return out
@@ -386,9 +429,10 @@ def screen_power(params: ConstructionParams, screen: ScreenSpec) -> float:
 def screen_power_oracle(params: ConstructionParams, screen: ScreenSpec) -> float:
     """Non-adaptive composite Gauss-Legendre route to dP_screen.
 
-    Uniform panels sized to at most a pi/2 phase step, an
-    ORACLE_NODES_PER_PANEL-point rule on each; independent of the Kronrod
-    machinery in :func:`screen_power`.
+    Uniform panels over the whole screen sized to at most a pi/2 phase
+    step, an ORACLE_NODES_PER_PANEL-point rule on each, on the unfolded
+    integrand; independent of the Kronrod machinery and of the folded
+    integrand in :func:`screen_power`.
     """
     integrand = _screen_integrand(params, screen.d)
     half = 0.5 * screen.s
@@ -424,8 +468,7 @@ def fig2_curves(
     if s_values is None:
         s_values = np.linspace(0.25, 100.0, 400) * slab
     s_values = np.asarray(s_values, dtype=float)
-    for s in s_values:
-        ScreenSpec(d=d, s=float(s))
+    _check_screen(d, s_values)
     if ks is None:
         ks = [2.0 * np.pi, 4.0 * np.pi, 8.0 * np.pi, 12.0 * np.pi]
     env = quartic_envelope(g0, b)

@@ -26,7 +26,9 @@ from uniscat import (
     evolve_transfer,
     gauss_grid,
     gaussian_envelope,
+    potential_from_samples,
     quartic_envelope,
+    transfer_tables,
 )
 from uniscat.cli import main, parse_k, read_table
 
@@ -61,6 +63,33 @@ def test_construct_csv_round_trip(tmp_path):
     assert np.array_equal(
         data, np.array([[float(f"{v:.17g}") for v in row] for row in data])
     )
+
+
+def test_construct_csv_read_back_reproduces_the_transfer_tables(tmp_path):
+    # the tabulated route's job: a construct CSV, read back and splined,
+    # scatters like the construction it samples, converging with the samples
+    # (the command's defaults: quartic envelope, g0 = 1e-2; k = 4 pi, 41
+    # nodes, 400 slices)
+    params = ConstructionParams(
+        ell=-1, m=1, envelope=quartic_envelope(1e-2, 1.0), ctx=WaveContext(k=4 * np.pi), slab=1.0
+    )
+    grid = gauss_grid(41, params.ctx)
+    want = transfer_tables(evolve_transfer(build_potential_2d(params), grid, slices=400))
+    scale = max(table.sup for table in want.values())
+    errs = {}
+    for n, bound in ((51, 6.7e-7), (101, 2.0e-8)):
+        out = tmp_path / f"v{n}.csv"
+        assert main(["construct", "--k", "4pi", "--nx", str(n), "--ny", str(n), "--out", str(out)]) == 0
+        cfg, columns, data = read_table(out)
+        assert (cfg["envelope"], cfg["g0"], cfg["b"], cfg["k"]) == ("quartic", 1e-2, 1.0, 4 * np.pi)
+        xs, ys = data[:, 0].reshape(n, n), data[:, 1].reshape(n, n)
+        assert np.all(xs == xs[:, :1]) and np.all(ys == ys[:1, :])
+        values = (data[:, 2] + 1j * data[:, 3]).reshape(n, n)
+        copy = potential_from_samples(xs[:, 0], ys[0], values)
+        got = transfer_tables(evolve_transfer(copy, grid, slices=400))
+        errs[n] = max(np.max(np.abs(got[key].values - want[key].values)) for key in want)
+        assert errs[n] <= bound * scale, (n, errs[n] / scale)
+    assert errs[101] < errs[51] / 16.0
 
 
 def test_construct_is_deterministic(tmp_path):

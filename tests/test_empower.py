@@ -30,6 +30,7 @@ from uniscat.empower import (
     GK_NODES,
     GK_WEIGHTS,
     _arc_power,
+    _folded_screen_integrand,
     _gk_panels,
     _screen_integrand,
     _screen_sweep,
@@ -235,6 +236,9 @@ def test_screen_spec_validation():
         ScreenSpec(d=0.0, s=1.0)
     with pytest.raises(ValueError):
         ScreenSpec(d=1.0, s=-2.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="screen width must be positive"):
+            ScreenSpec(d=1.0, s=bad)
 
 
 def test_fig2_curves_layout_and_determinism():
@@ -264,7 +268,8 @@ def test_gk_panel_sums_do_not_depend_on_the_batch():
 
 
 def _per_width_phase_cut_edges(k, d, s):
-    """Panel edges of one width, cut at pi/4 phase steps by a plain loop."""
+    """Panel edges of one half-screen [0, s/2], cut at pi/4 phase steps by a
+    plain loop."""
     half = 0.5 * s
     n_cuts = int(np.floor(k * (np.hypot(d, half) - d) / (np.pi / 4.0)))
     cuts = []
@@ -273,25 +278,49 @@ def _per_width_phase_cut_edges(k, d, s):
         y = np.sqrt(rad * rad - d * d)
         if y < half:
             cuts.append(y)
-    edges = np.array([0.0] + cuts + [half])
-    return np.unique(np.concatenate([-edges[::-1], edges]))
+    return np.array([0.0] + cuts + [half])
 
 
 @pytest.mark.parametrize("k, d", [(2 * np.pi, 100.0), (12 * np.pi, 100.0), (3.3, 7.5)])
 def test_sweep_panels_are_the_per_width_phase_cuts(k, d):
     # these widths need no bisection, so each value is the plain panel sum
     params = _params(k=k)
-    integrand = _screen_integrand(params, d)
+    integrand = _folded_screen_integrand(params, d)
     widths = np.array([0.3, 1.0, 9.7, 40.0, 100.0])
     want = []
     for s in widths:
         edges = _per_width_phase_cut_edges(k, d, s)
         k15 = _gk_panels(integrand, edges[:-1], edges[1:])[0]
-        # summed as pairs L_j + R_j from the centre outward, then the end panels
-        n = (k15.size - 2) // 2
-        pairs = k15[n:0:-1] + k15[n + 1 : 2 * n + 1]
-        want.append((k15[0] + np.cumsum(np.r_[0.0, pairs])[-1]) + k15[-1])
+        # the whole panels prefix-summed from the centre, then the end panel
+        want.append(np.cumsum(np.r_[0.0, k15[:-1]])[-1] + k15[-1])
     assert np.array_equal(_screen_sweep(params, d, widths), np.array(want) / widths)
+
+
+@pytest.mark.parametrize("envelope", ["quartic", "gaussian"])
+def test_folded_integrand_is_the_mirror_pair(envelope):
+    make = quartic_envelope if envelope == "quartic" else gaussian_envelope
+    params = ConstructionParams(ell=-1, m=1, envelope=make(1e-2, 1.0), ctx=CTX, slab=1.0)
+    # the centre, interior points, and wide points of a far screen
+    for d, y in (
+        (100.0, np.array([0.0, 1e-3, 0.8, 4.5, 12.0, 37.0, 49.9])),
+        (1e4, np.array([0.0, 0.4, 80.0, 1200.0, 4990.0])),
+    ):
+        unfolded = _screen_integrand(params, d)
+        want = unfolded(y) + unfolded(-y)
+        got = _folded_screen_integrand(params, d)(y)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), (d, envelope)
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 12])
+def test_sweep_agrees_with_the_oracle_at_the_benchmark_wavenumbers(n):
+    # the oracle integrates the unfolded integrand over the whole screen on
+    # its own nodes, so it shares no integrand with the folded sweep
+    params = _params(k=n * np.pi)
+    widths = [0.25, 1.0, 10.0, 37.5, 100.0]
+    swept = _screen_sweep(params, 100.0, widths)
+    oracle = [screen_power_oracle(params, ScreenSpec(d=100.0, s=w)) for w in widths]
+    # dP is about 1e-6 here, so 1e-12 of it is far inside 1e-12 absolute
+    assert np.max(np.abs(swept - oracle)) <= 1e-12 * np.max(np.abs(swept))
 
 
 def _counting_gk_panels(monkeypatch):
@@ -310,7 +339,12 @@ def test_default_fig2_curve_is_one_integrand_batch(monkeypatch):
     batches = _counting_gk_panels(monkeypatch)
     curves = fig2_curves()
     assert len(curves) == 4 and all(c.s_values.size == 400 for c in curves)
-    assert len(batches) == len(curves)
+    # per wavenumber: the whole panels of the widest half-screen plus one end
+    # panel per width, half the mirrored layout's 2 whole + 2 widths
+    assert batches == [
+        (_per_width_phase_cut_edges(c.k, c.d, c.s_values.max()).size - 2) + c.s_values.size
+        for c in curves
+    ]
 
 
 @pytest.mark.parametrize("k", [2 * np.pi, 12 * np.pi])
@@ -362,5 +396,8 @@ def test_refinement_depth_warning(monkeypatch):
 
 
 def test_fig2_curves_validate_every_width():
-    with pytest.raises(ValueError, match="screen width must be positive"):
-        fig2_curves(s_values=[1.0, -2.0], ks=[4 * np.pi])
+    for bad in (-2.0, 0.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="screen width must be positive"):
+            fig2_curves(s_values=[1.0, bad, 3.0], ks=[4 * np.pi])
+    with pytest.raises(ValueError, match="screen distance must be positive"):
+        fig2_curves(s_values=[1.0], ks=[4 * np.pi], d=np.nan)

@@ -12,6 +12,7 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 
 from uniscat import Envelope, gaussian_envelope, quartic_envelope
+from uniscat.envelopes import _quartic_moment_integral
 
 
 def _ft_quadrature(env, q, n=400):
@@ -65,6 +66,65 @@ def test_quartic_ft_branch_seam_is_continuous():
     env = quartic_envelope(1.0, 1.0)
     below, above = complex(env.ft(1.0 - 1e-12)), complex(env.ft(1.0 + 1e-12))
     assert abs(below - above) < 1e-10 * abs(below)
+
+
+def _extended_gauss_legendre(n):
+    """Gauss-Legendre nodes and weights on (-1, 1) in long double: the
+    double nodes polished by Newton steps on P_n."""
+    x = leggauss(n)[0].astype(np.longdouble)
+    for _ in range(4):
+        p0, p1 = np.ones_like(x), x
+        for j in range(2, n + 1):
+            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+        dp = n * (x * p1 - p0) / (x * x - 1)
+        x = x - p1 / dp
+    return x, 2 / ((1 - x * x) * dp * dp)
+
+
+def test_quartic_moment_integral_matches_a_brute_reference():
+    # the closed form cancels most just above the switch at |q b| = 1, so
+    # the band around it is dense; the brute rule runs in long double,
+    # since in double its own cancellation at |q b| = 60 is ~1e-12
+    if np.finfo(np.longdouble).eps > 1e-18:
+        pytest.skip("the reference needs an extended-precision long double")
+    x, w = _extended_gauss_legendre(96)
+    for b in (1.0, 1.3):
+        t = np.concatenate([np.linspace(0.0, 60.0, 3001), 1.0 + np.linspace(-0.02, 0.02, 2001)])
+        q = np.concatenate([t, -t]) / b
+        bl = np.longdouble(b)
+        y = 0.5 * bl * (x + 1)
+        wg = 0.5 * bl * w * y**2 * (y - bl) ** 2
+        phase = np.outer(q.astype(np.longdouble), y)
+        ref_re = (np.cos(phase) @ wg).astype(float)
+        ref_im = (-np.sin(phase) @ wg).astype(float)
+        re, im = _quartic_moment_integral(q, b)
+        # |I| is below int |y^2 (y-b)^2| = b^5 / 30 and below the amplitude
+        # b^5 sqrt(h^4 + 3 h^2 + 9) / (2 h^5) of its oscillation (h = q b / 2),
+        # which vanishes only at the zeros of that oscillation; the error is
+        # measured against the smaller bound
+        h = np.maximum(0.5 * b * np.abs(q), 1e-3)
+        scale = b**5 * np.minimum(1.0 / 30.0, np.sqrt(h**4 + 3 * h**2 + 9) / (2 * h**5))
+        assert np.all(np.hypot(ref_re, ref_im) <= scale * (1 + 1e-12))
+        err = np.hypot(re - ref_re, im - ref_im) / scale
+        assert np.max(err) <= 3e-13, (b, t[np.argmax(err) % t.size])
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "quartic"])
+def test_even_part_transform(kind):
+    env = Envelope(kind=kind, g0=0.3 - 0.7j, b=1.3)
+    rng = np.random.default_rng(5)
+    q = np.concatenate([rng.uniform(-40.0, 40.0, 200), rng.uniform(-0.7, 0.7, 50), [0.0, 1 / 1.3]])
+    want = 0.5 * (env.ft(q) + env.ft(-q))
+    assert np.max(np.abs(env.ft_even(q) - want)) <= 1e-15 * np.max(np.abs(want))
+    assert isinstance(env.ft_even(0.4), complex)
+
+
+def test_gaussian_ft_is_its_closed_form_bit_for_bit():
+    env = gaussian_envelope(0.5 - 0.2j, 0.8)
+    q = np.linspace(-9.0, 9.0, 101)
+    want = env.g0 * env.b * np.sqrt(2.0 * np.pi) * np.exp(-(env.b**2) * q**2 / 2.0)
+    assert np.array_equal(env.ft(q), want)
+    assert env.ft(q[7]) == want[7]
 
 
 def test_quartic_second_derivative():
