@@ -68,28 +68,38 @@ def test_construct_csv_round_trip(tmp_path):
 def test_construct_csv_read_back_reproduces_the_transfer_tables(tmp_path):
     # the tabulated route's job: a construct CSV, read back and splined,
     # scatters like the construction it samples, converging with the samples
-    # (the command's defaults: quartic envelope, g0 = 1e-2; k = 4 pi, 41
-    # nodes, 400 slices)
-    params = ConstructionParams(
-        ell=-1, m=1, envelope=quartic_envelope(1e-2, 1.0), ctx=WaveContext(k=4 * np.pi), slab=1.0
-    )
-    grid = gauss_grid(41, params.ctx)
-    want = transfer_tables(evolve_transfer(build_potential_2d(params), grid, slices=400))
-    scale = max(table.sup for table in want.values())
-    errs = {}
-    for n, bound in ((51, 6.7e-7), (101, 2.0e-8)):
-        out = tmp_path / f"v{n}.csv"
-        assert main(["construct", "--k", "4pi", "--nx", str(n), "--ny", str(n), "--out", str(out)]) == 0
-        cfg, columns, data = read_table(out)
-        assert (cfg["envelope"], cfg["g0"], cfg["b"], cfg["k"]) == ("quartic", 1e-2, 1.0, 4 * np.pi)
-        xs, ys = data[:, 0].reshape(n, n), data[:, 1].reshape(n, n)
-        assert np.all(xs == xs[:, :1]) and np.all(ys == ys[:1, :])
-        values = (data[:, 2] + 1j * data[:, 3]).reshape(n, n)
-        copy = potential_from_samples(xs[:, 0], ys[0], values)
-        got = transfer_tables(evolve_transfer(copy, grid, slices=400))
-        errs[n] = max(np.max(np.abs(got[key].values - want[key].values)) for key in want)
-        assert errs[n] <= bound * scale, (n, errs[n] / scale)
-    assert errs[101] < errs[51] / 16.0
+    # (the command's defaults but the envelope: g0 = 1e-2; k = 4 pi, 41
+    # nodes, 400 slices).  The bounds are the measured errors as fractions
+    # of the largest sup norm (quartic 6.65e-7 and 1.98e-8, gaussian 3.00e-4
+    # and 2.55e-5), rounded up.
+    cases = {
+        "quartic": (quartic_envelope, ((51, 6.7e-7), (101, 2.0e-8)), 16.0),
+        "gaussian": (gaussian_envelope, ((51, 3.1e-4), (101, 2.6e-5)), 8.0),
+    }
+    for envelope, (make, bounds, gain) in cases.items():
+        params = ConstructionParams(
+            ell=-1, m=1, envelope=make(1e-2, 1.0), ctx=WaveContext(k=4 * np.pi), slab=1.0
+        )
+        grid = gauss_grid(41, params.ctx)
+        want = transfer_tables(evolve_transfer(build_potential_2d(params), grid, slices=400))
+        scale = max(table.sup for table in want.values())
+        errs = {}
+        for n, bound in bounds:
+            out = tmp_path / f"{envelope}{n}.csv"
+            assert main([
+                "construct", "--k", "4pi", "--envelope", envelope,
+                "--nx", str(n), "--ny", str(n), "--out", str(out),
+            ]) == 0
+            cfg, columns, data = read_table(out)
+            assert (cfg["envelope"], cfg["g0"], cfg["b"], cfg["k"]) == (envelope, 1e-2, 1.0, 4 * np.pi)
+            xs, ys = data[:, 0].reshape(n, n), data[:, 1].reshape(n, n)
+            assert np.all(xs == xs[:, :1]) and np.all(ys == ys[:1, :])
+            values = (data[:, 2] + 1j * data[:, 3]).reshape(n, n)
+            copy = potential_from_samples(xs[:, 0], ys[0], values)
+            got = transfer_tables(evolve_transfer(copy, grid, slices=400))
+            errs[n] = max(np.max(np.abs(got[key].values - want[key].values)) for key in want)
+            assert errs[n] <= bound * scale, (envelope, n, errs[n] / scale)
+        assert errs[101] < errs[51] / gain, envelope
 
 
 def test_construct_is_deterministic(tmp_path):
@@ -190,6 +200,21 @@ def test_verify_report(tmp_path):
     want = classify(op, cfg["tol"])
     for key in ("sup_norms", "reciprocity_mismatch", "predicates"):
         assert report[key] == want[key]
+
+
+def test_verify_reciprocity_has_no_roundoff_floor(tmp_path):
+    # at g0 = 1e-6 the forward transmissions are 1e-13 against an incident
+    # delta of 6.6; read off W they keep their own precision, and the
+    # mismatch (4.3e-14 of the largest sup norm) passes a tolerance of 1e-8
+    out = tmp_path / "report.json"
+    rc = main([
+        "verify", "--g0", "1e-6", "--grid-n", "21", "--slices", "100",
+        "--tol", "1e-8", "--out", str(out),
+    ])
+    assert rc == 0
+    report = json.loads(out.read_text())
+    assert report["predicates"]["reciprocal_transmission"] is True
+    assert report["reciprocity_mismatch"] <= 1e-12 * max(report["sup_norms"].values())
 
 
 def test_xfer_dump(tmp_path):
@@ -300,7 +325,7 @@ def test_singular_m22_is_a_numerical_failure(tmp_path, monkeypatch, capsys):
     def singular(v, grid, slices=None):
         matrix = np.eye(2 * grid.n, dtype=complex)
         matrix[grid.n :, grid.n :] = 0.0
-        return TransferOperator(grid=grid, matrix=matrix, slices=1)
+        return TransferOperator(grid=grid, scattered=matrix - np.eye(2 * grid.n), slices=1)
 
     monkeypatch.setattr(uniscat.cli, "evolve_transfer", singular)
     with pytest.warns(SpectralSingularityWarning):

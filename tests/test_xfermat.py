@@ -169,6 +169,67 @@ def test_factored_evolution_equals_dense_generator_rk4():
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+def _dense_w_rk4(v, grid, slices):
+    """Classical RK4 on dW/dx = -i H (I + W) with the dense generator, the
+    identity's part added as A rather than through I + W."""
+    x0, x1 = map(float, v.x_support)
+    h = (x1 - x0) / slices
+    a = [-1j * effective_hamiltonian(v, grid, x)
+         for x in np.linspace(x0, x1, 2 * slices + 1)]
+    w = np.zeros((2 * grid.n, 2 * grid.n), dtype=complex)
+    for i in range(slices):
+        a_cur, a_mid, a_next = a[2 * i : 2 * i + 3]
+        k1 = a_cur @ w + a_cur
+        k2 = a_mid @ (w + (0.5 * h) * k1) + a_mid
+        k3 = a_mid @ (w + (0.5 * h) * k2) + a_mid
+        k4 = a_next @ (w + h * k3) + a_next
+        w = w + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return w
+
+
+def test_scattered_part_equals_dense_w_rk4_to_its_own_precision():
+    # the evolution keeps W = M - I to roundoff relative to W itself, also
+    # where W is 1e-7 and I + W would keep it only to about eps absolute
+    grid = gauss_grid(15, CTX)
+    for pot in (_constructed(g0=1e-6), random_smooth_potential(9, amplitude=300.0)):
+        got = evolve_transfer(pot, grid, slices=70).scattered
+        want = _dense_w_rk4(pot, grid, 70)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_forward_transmission_real_part_is_third_order():
+    # quartic, (ell, m) = (-1, 1), k = 4 pi, N = 41, 400 slices: Re T^l_+(0)
+    # and Re T^r_-(0) both equal 3.18e-5 g0^3 and each other (reciprocity).
+    # At g0 = 1e-5 that real part is 2e-14 of max|W|, so the two agree there
+    # only to a few percent, and a frame drift of slices * eps would move
+    # them by about 30%.
+    grid = gauss_grid(41, CTX)
+    c = grid.center_index
+    for g0, law, mutual in ((1e-2, 5e-3, 1e-3), (1e-3, 5e-3, 1e-3), (1e-4, 5e-3, 1e-3), (1e-5, 0.1, 0.1)):
+        tables = transfer_tables(evolve_transfer(_constructed(g0), grid, slices=400))
+        left = tables["left_plus"].values[c].real / g0**3
+        right = tables["right_minus"].values[c].real / g0**3
+        assert abs(left - 3.18e-5) <= law * 3.18e-5, (g0, left)
+        assert abs(right - 3.18e-5) <= law * 3.18e-5, (g0, right)
+        assert abs(left - right) <= mutual * abs(left), (g0, left, right)
+
+
+def test_symplectic_form_is_applied_as_a_signed_reversal():
+    # check_symplectic and conserved_current apply S as (a, b) -> (P D b,
+    # -P D a); both must equal the dense form, on the W side of M^T S M = S
+    grid = gauss_grid(15, CTX)
+    s = _symplectic_form(grid)
+    for pot in (_constructed(), random_smooth_potential(9, amplitude=300.0)):
+        op = evolve_transfer(pot, grid, slices=70)
+        w = op.scattered
+        want = np.linalg.norm(w.T @ s + s @ w + w.T @ s @ w) / np.linalg.norm(s)
+        assert check_symplectic(op) == pytest.approx(want, rel=1e-12)
+        left, right = scattering_coeffs(op, "left"), scattering_coeffs(op, "right")
+        for got, one, two in zip(conserved_current(left, right, grid), left, right):
+            u1, u2 = np.concatenate([one.a, one.b]), np.concatenate([two.a, two.b])
+            assert got.value == pytest.approx((-1j / np.pi) * (u1 @ s @ u2), rel=1e-14)
+
+
 def test_tensor_grid_route_equals_the_pointwise_route():
     # a tabulated copy declares its y-quadrature terms, which evaluate the
     # spline on the tensor grid; the same copy without them goes through
@@ -281,9 +342,10 @@ def test_scattering_coeffs_wiring():
         got = op.matrix @ np.concatenate([lo.a, lo.b])
         want = np.concatenate([hi.a, hi.b])
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-        # and every T-function is outgoing minus incoming
-        assert np.array_equal(tabs[f"{side}_plus"].values, hi.a - lo.a)
-        assert np.array_equal(tabs[f"{side}_minus"].values, lo.b - hi.b)
+        # and every T-function is outgoing minus incoming: the tables are read
+        # off W, and each outgoing coefficient is incoming plus its table
+        assert np.array_equal(hi.a, lo.a + tabs[f"{side}_plus"].values)
+        assert np.array_equal(lo.b, hi.b + tabs[f"{side}_minus"].values)
 
 
 def test_reciprocity_predicate_for_a_generic_potential():
@@ -329,7 +391,7 @@ def test_spectral_singularity_warning():
     n = grid.n
     m = np.eye(2 * n, dtype=complex)
     m[n:, n:] = np.diag(np.r_[np.ones(n - 1), 1e-16])
-    op = TransferOperator(grid=grid, matrix=m, slices=1)
+    op = TransferOperator(grid=grid, scattered=m - np.eye(2 * n), slices=1)
     assert op.m22_condition > 1e12
     with pytest.warns(SpectralSingularityWarning):
         extract_t(op, "right", "minus")
