@@ -41,14 +41,20 @@ gt_even(q) = (gt(q) + gt(-q)) / 2 (`Envelope.ft_even`): a centred screen
 sees only the even part of g.
 
 The phase k (r - d) oscillates fast for wide screens, so the folded
-integral is done with vectorized 15-point Gauss-Kronrod panels cut at pi/4
+integral is done with vectorized 15-point Gauss-Kronrod panels cut at pi
 phase increments, bisected adaptively on the embedded 7-point error
-estimate.  The cuts do not depend on s, so a sweep over widths
-(:func:`fig2_curves`) evaluates the panels between cuts once for all
-widths, from the centre outward, plus one end panel per width, in one
-integrand call.  Prefix sums over the panels then give every width's sum
-and error estimate at once, and only widths over their error budget are
-refined, one by one, by the same bisection as the arcs.
+estimate.  One pi of phase per panel leaves the unrefined estimate at about
+2e-2 of the budget or less over the benchmark's widths and wavenumbers;
+pi/4 panels spend four times the whole panels on an estimate at roundoff,
+and 2 pi panels put 193 of the 1600 default widths over budget, whose
+refinement makes the default sweep several times slower.  The cuts do
+not depend on s, so a sweep over widths (:func:`fig2_curves`) evaluates
+the panels between cuts once for all widths, from the centre outward, plus
+one end panel per width, in one integrand call (in batches of at most
+_SCREEN_BATCH_PANELS panels, so the integrand's temporaries do not grow
+with the width).  Prefix sums over the panels then give every width's
+sum and error estimate at once, and only widths over their error budget
+are refined, one by one, by the same bisection as the arcs.
 :func:`screen_power` is the one-width case of the same pass.  A
 non-adaptive composite Gauss-Legendre rule on an unrelated node set, over
 the whole screen and on the unfolded integrand, acts as the independent
@@ -87,6 +93,11 @@ EXTINCTION_FACTOR = float(np.sqrt(8.0 * np.pi))
 # for at most SCREEN_MAX_DEPTH bisection rounds.
 SCREEN_ABS_TOL = 1e-10
 SCREEN_MAX_DEPTH = 16
+# The screen sweep cuts its panels at every _SCREEN_PHASE_STEP of the phase
+# k (r - d) and sends them to the integrand at most _SCREEN_BATCH_PANELS at
+# a time, so its memory stays flat however wide the screen.
+_SCREEN_PHASE_STEP = np.pi
+_SCREEN_BATCH_PANELS = 4096
 # total_power_changes starts each arc from ARC_PANELS equal panels and
 # bisects until each side's error estimate is below ARC_REL_TOL times the
 # largest arc integral, for at most ARC_MAX_DEPTH rounds.
@@ -363,18 +374,19 @@ def _screen_sweep(params: ConstructionParams, d, s_values) -> np.ndarray:
     """dP_screen at every width of s_values, from one shared set of panels.
 
     The screen is centred, so dP_screen(s) = (1/s) int_0^{s/2} (du(y) +
-    du(-y)) dy, the folded integrand.  A width s is cut at the pi/4 phase
-    increments c_1 < c_2 < ... of k (r - d) below s/2 (c_0 = 0).  With n
-    such cuts it has the whole panels [c_{j-1}, c_j] for j = 1 .. n and the
-    end panel [c_n, s/2].  The cuts do not depend on s, so a narrower
-    screen's whole panels are a prefix of the widest screen's.  Every whole
-    panel and the end panel of every width go through the integrand in one
-    batch, and with the prefix sums P[n] = sum_{j <= n} [c_{j-1}, c_j]
-    (P[0] = 0) each width reads P[n] + end panel, for its sum and for its
-    error estimate alike, all widths at once.  A prefix of length n does
-    not depend on the widest width and panel sums do not depend on their
-    batch, so every width gets the same value as a sweep of that width
-    alone.
+    du(-y)) dy, the folded integrand.  A width s is cut at the
+    _SCREEN_PHASE_STEP (pi) phase increments c_1 < c_2 < ... of k (r - d)
+    below s/2 (c_0 = 0).  With n such cuts it has the whole panels
+    [c_{j-1}, c_j] for j = 1 .. n and the end panel [c_n, s/2].  The cuts do
+    not depend on s, so a narrower screen's whole panels are a prefix of the
+    widest screen's.  Every whole panel and the end panel of every width go
+    through the integrand in one batch, or in equal batches of at most
+    _SCREEN_BATCH_PANELS panels for very wide screens, and with the prefix
+    sums P[n] = sum_{j <= n} [c_{j-1}, c_j] (P[0] = 0) each width reads
+    P[n] + end panel, for its sum and for its error estimate alike, all
+    widths at once.  A prefix of length n does not depend on the widest
+    width and panel sums do not depend on their batch, so every width gets
+    the same value as a sweep of that width alone.
 
     Only widths whose summed error estimate exceeds SCREEN_ABS_TOL * s are
     refined, each on its own from the same panels: bisect wherever the
@@ -385,9 +397,9 @@ def _screen_sweep(params: ConstructionParams, d, s_values) -> np.ndarray:
     k = params.ctx.k
     s_values = np.asarray(s_values, dtype=float)
     half = 0.5 * s_values
-    # cuts m = 1 .. floor(k (r(s/2) - d) / (pi/4)) that lie below s/2
-    n_cuts = np.floor(k * (np.hypot(d, half) - d) / (np.pi / 4.0)).astype(int)
-    rad = d + np.arange(1, n_cuts.max(initial=0) + 1) * np.pi / (4.0 * k)
+    # cuts m = 1 .. floor(k (r(s/2) - d) / step) that lie below s/2
+    n_cuts = np.floor(k * (np.hypot(d, half) - d) / _SCREEN_PHASE_STEP).astype(int)
+    rad = d + np.arange(1, n_cuts.max(initial=0) + 1) * (_SCREEN_PHASE_STEP / k)
     cuts = np.concatenate([[0.0], np.sqrt(rad * rad - d * d)])
     used = np.minimum(n_cuts, np.searchsorted(cuts[1:], half))
     edges = cuts[: used.max(initial=0) + 1]
@@ -395,7 +407,13 @@ def _screen_sweep(params: ConstructionParams, d, s_values) -> np.ndarray:
     # [whole panels 1 .. whole | end panels]
     lo_all = np.concatenate([edges[:-1], edges[used]])
     hi_all = np.concatenate([edges[1:], half])
-    total_all, err_all = _gk_panels(integrand, lo_all, hi_all)
+    n_batches = max(1, -(-lo_all.size // _SCREEN_BATCH_PANELS))
+    sums = [
+        _gk_panels(integrand, lo, hi)
+        for lo, hi in zip(np.array_split(lo_all, n_batches), np.array_split(hi_all, n_batches))
+    ]
+    total_all = np.concatenate([t for t, _ in sums])
+    err_all = np.concatenate([e for _, e in sums])
 
     def per_width(x):
         return np.cumsum(np.concatenate([[0.0], x[:whole]]))[used] + x[whole:]
@@ -417,7 +435,7 @@ def screen_power(params: ConstructionParams, screen: ScreenSpec) -> float:
     `params` (its closed-form left amplitude), adaptively integrated.
 
     The one-width case of the shared-panel sweep behind :func:`fig2_curves`:
-    panels start at pi/4 phase increments and are bisected wherever the
+    panels start at pi phase increments and are bisected wherever the
     embedded Gauss rule disagrees with the Kronrod one, until the summed
     error estimate of the y-integral drops below SCREEN_ABS_TOL * s (so the
     result itself is good to about SCREEN_ABS_TOL); after SCREEN_MAX_DEPTH

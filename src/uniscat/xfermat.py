@@ -559,7 +559,18 @@ def predicates(op: TransferOperator, tol: float) -> dict:
 
 
 def operator_to_dict(op: TransferOperator) -> dict:
-    """JSON-ready dump of the operator with its grid metadata."""
+    """JSON-ready dump of the operator with its grid metadata.
+
+    `blocks` holds the four N x N blocks of M = I + W and `scattered` those
+    of W itself (`w11` .. `w22`), each as a re/im pair.  W11 and W22 read
+    back from `blocks` minus I keep W only to about eps absolute; read from
+    `scattered` they keep it to eps relative.
+    """
+    n, w = op.n, op.scattered
+
+    def re_im(block):
+        return {"re": block.real.tolist(), "im": block.imag.tolist()}
+
     return {
         "k": op.grid.ctx.k,
         "grid_n": op.grid.n,
@@ -568,11 +579,10 @@ def operator_to_dict(op: TransferOperator) -> dict:
         "slices": op.slices,
         "potential": op.potential_label,
         "m22_condition": op.m22_condition,
-        "blocks": {
-            name: {
-                "re": getattr(op, name).real.tolist(),
-                "im": getattr(op, name).imag.tolist(),
-            }
-            for name in ("m11", "m12", "m21", "m22")
+        "blocks": {name: re_im(getattr(op, name)) for name in ("m11", "m12", "m21", "m22")},
+        "scattered": {
+            f"w{i}{j}": re_im(w[(i - 1) * n : i * n, (j - 1) * n : j * n])
+            for i in (1, 2)
+            for j in (1, 2)
         },
     }

@@ -230,6 +230,30 @@ def test_xfer_dump(tmp_path):
     assert m11.shape == (9, 9)
 
 
+def test_xfer_dump_keeps_the_scattered_part_to_its_own_precision(tmp_path):
+    # at g0 = 1e-6, W11 is about 2e-7 against the 1 of M11 = I + W11, so
+    # `blocks` minus I loses its low bits and `scattered` keeps all of them
+    out = tmp_path / "op.json"
+    rc = main([
+        "xfer", "--g0", "1e-6", "--grid-n", "21", "--slices", "100", "--out", str(out),
+    ])
+    assert rc == 0
+    blob = json.loads(out.read_text())
+    params = ConstructionParams(
+        ell=-1, m=1, envelope=quartic_envelope(1e-6, 1.0), ctx=WaveContext(k=4 * np.pi), slab=1.0
+    )
+    op = evolve_transfer(build_potential_2d(params), gauss_grid(21, params.ctx), slices=100)
+    n = op.n
+    for name, block in (
+        ("w11", op.scattered[:n, :n]), ("w12", op.scattered[:n, n:]),
+        ("w21", op.scattered[n:, :n]), ("w22", op.scattered[n:, n:]),
+    ):
+        entry = blob["scattered"][name]
+        assert np.array_equal(np.array(entry["re"]) + 1j * np.array(entry["im"]), block), name
+    m11 = np.array(blob["blocks"]["m11"]["re"]) + 1j * np.array(blob["blocks"]["m11"]["im"])
+    assert np.array_equal(m11, op.m11)
+
+
 def test_power_report(tmp_path):
     out = tmp_path / "power.json"
     rc = main(["power", "--k", "4pi", "--d", "100", "--s", "10", "--out", str(out)])
