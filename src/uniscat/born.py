@@ -98,14 +98,33 @@ def born_f_2d(v: PotentialSpec, side: str, theta, ctx: WaveContext = None):
     """First-order differential amplitude f(theta) at any theta, grazing
     included."""
     _check_side_sign(side)
+    return _amplitude_2d(_born_vtt_2d(v, theta, side == "right", ctx))
+
+
+def _born_vtt_2d(v: PotentialSpec, theta, right, ctx: WaveContext = None):
+    """The transform samples behind f^l(theta) where `right` is false and
+    f^r(theta) where it is true (theta and right broadcast), in one `v.ft`
+    call: the one kernel of :func:`born_f_2d`, which the power budget calls
+    directly to evaluate both sides at once.  A closed-form transform (the
+    constructions) is elementwise, so each sample is the one a call for its
+    side alone gives; the x-quadrature transform of other potentials is a
+    matrix product, whose rounding can depend on the batch."""
     if v.dim != 2:
         raise ValueError("born_f_2d is the 2D route; use born_f_3d")
     ctx = ctx or _ctx_of(v)
     theta = np.asarray(theta, dtype=float)
     c = np.cos(theta)
-    kx = -ctx.k * (1.0 - c) if side == "left" else ctx.k * (1.0 + c)
-    out = -v.ft(kx, ctx.k * np.sin(theta)) / (2.0 * np.sqrt(2.0 * np.pi))
-    return out if np.ndim(out) else complex(out)
+    kx = np.where(right, ctx.k * (1.0 + c), -ctx.k * (1.0 - c))
+    return v.ft(kx, ctx.k * np.sin(theta))
+
+
+def _amplitude_2d(vtt):
+    """f = -vtt / (2 sqrt(2 pi)) of transform samples.  A single sample is
+    divided as a Python complex, as a scalar `born_f_2d` always has been, so
+    one read from a batch equals its own call bit for bit."""
+    if not np.ndim(vtt):
+        vtt = complex(vtt)
+    return -vtt / (2.0 * np.sqrt(2.0 * np.pi))
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,11 @@ incident waves and attach to the arc containing each beam's forward
 direction.  f is the first-order amplitude `born_f_2d`, which has no
 1/cos theta, so each arc is integrated whole, grazing edges included, with
 15-point Gauss-Kronrod panels bisected on the embedded 7-point error
-estimate (:func:`total_power_changes`).
+estimate (:func:`total_power_changes`).  A call of the amplitude costs
+about the same at one node as at hundreds, so the budget shares each
+transform call: the first one evaluates both sides' panels and both
+extinction samples, and each refinement round bisects both sides in
+lockstep (:func:`_bisect`) with one more call.
 
 A finite detector is modelled as a screen of width s at distance d behind
 the slab.  The interference profile along the screen is
@@ -54,7 +58,7 @@ one end panel per width, in one integrand call (in batches of at most
 _SCREEN_BATCH_PANELS panels, so the integrand's temporaries do not grow
 with the width).  Prefix sums over the panels then give every width's
 sum and error estimate at once, and only widths over their error budget
-are refined, one by one, by the same bisection as the arcs.
+are refined, all in lockstep by the same bisection as the arcs.
 :func:`screen_power` is the one-width case of the same pass.  A
 non-adaptive composite Gauss-Legendre rule on an unrelated node set, over
 the whole screen and on the unfolded integrand, acts as the independent
@@ -69,7 +73,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .born import _closed_form_left_factor, born_f_2d, closed_form_f_left
+from .born import _amplitude_2d, _born_vtt_2d, _closed_form_left_factor, closed_form_f_left
 from .construct import ConstructionParams
 from .envelopes import quartic_envelope
 from .grids import WaveContext
@@ -104,8 +108,10 @@ _SCREEN_BATCH_PANELS = 4096
 ARC_REL_TOL = 1e-12
 ARC_PANELS = 8
 ARC_MAX_DEPTH = 16
-# Gauss-Legendre nodes on each panel of screen_power_oracle.
+# Gauss-Legendre nodes on each panel of screen_power_oracle, and the most
+# panels it evaluates in one integrand call.
 ORACLE_NODES_PER_PANEL = 24
+_ORACLE_BATCH_PANELS = 1024
 
 # 15-point Kronrod extension of 7-point Gauss (positive half, QUADPACK dqk15).
 _XGK_HALF = np.array(
@@ -199,49 +205,77 @@ class PowerCurve:
     label: str = ""
 
 
-def _bisect(fn, lo, hi, total, err, budget, max_depth, what):
-    """Bisect the GK15 panels [lo_i, hi_i] of one integral until their summed
-    error estimate is at most `budget`.
+def _bisect(fn, runs, budgets, max_depth, what):
+    """Bisect the GK15 panels of several integrals in lockstep until each
+    one's summed error estimate is at most its budget.
 
-    Each round splits every panel whose estimate exceeds budget / (2 n), for
-    n panels, with one call of `fn`; after `max_depth` rounds it warns and
-    returns what it has.  Returns (lo, hi, total, err): the kept panels
+    `runs` holds one (lo, hi, total, err) per integral: its panels
+    [lo_i, hi_i], their sums and their estimates.  Each round splits, in
+    every integral still over its budget, every panel whose estimate
+    exceeds budget / (2 n), for its n panels, and evaluates the halves of
+    all of them in one call fn(y, owner), owner being the index in `runs`
+    of the integral each node y belongs to.  :func:`_gk_panels` reduces each
+    panel on its own, so with an elementwise integrand every integral gets
+    the panels, panel order and sums it would get if refined alone.  After
+    `max_depth` rounds it warns once per integral still over its budget.
+    Returns the (lo, hi, total, err) of each integral: its kept panels
     first, then the left and the right halves of the split ones.
     """
+    runs = list(runs)
+    budgets = np.broadcast_to(budgets, (len(runs),))
     for _ in range(max_depth):
-        if float(np.sum(err)) <= budget:
+        live, keep, sizes, lo_new, hi_new = [], [], [], [], []
+        for i, (lo, hi, _, err) in enumerate(runs):
+            if float(np.sum(err)) > budgets[i]:
+                worst = err > (budgets[i] / max(1, 2 * err.size))
+                a, b = lo[worst], hi[worst]
+                m = 0.5 * (a + b)
+                live.append(i)
+                keep.append(~worst)
+                sizes.append(2 * a.size)
+                lo_new += [a, m]
+                hi_new += [m, b]
+        if not live:
             break
-        worst = err > (budget / max(1, 2 * err.size))
-        keep_t, keep_e = total[~worst], err[~worst]
-        a, b = lo[worst], hi[worst]
-        m = 0.5 * (a + b)
-        lo = np.concatenate([lo[~worst], a, m])
-        hi = np.concatenate([hi[~worst], m, b])
-        t2, e2 = _gk_panels(fn, np.concatenate([a, m]), np.concatenate([m, b]))
-        total = np.concatenate([keep_t, t2])
-        err = np.concatenate([keep_e, e2])
+        owner = np.repeat(live, np.multiply(sizes, GK_NODES.size))
+        new = (np.concatenate(lo_new), np.concatenate(hi_new))
+        new += _gk_panels(lambda y: fn(y, owner), *new)
+        start = 0
+        for i, kept, n in zip(live, keep, sizes):
+            runs[i] = tuple(
+                np.concatenate([old[kept], x[start : start + n]])
+                for old, x in zip(runs[i], new)
+            )
+            start += n
     else:
-        warnings.warn(
-            f"{what} error estimate {float(np.sum(err)):.3g} still "
-            f"above budget {budget:.3g} after {max_depth} refinement rounds",
-            UserWarning,
-            stacklevel=4,  # the caller of the public function
-        )
-    return lo, hi, total, err
+        for i, (_, _, _, err) in enumerate(runs):
+            if float(np.sum(err)) > budgets[i]:
+                warnings.warn(
+                    f"{what} error estimate {float(np.sum(err)):.3g} still "
+                    f"above budget {budgets[i]:.3g} after {max_depth} refinement rounds",
+                    UserWarning,
+                    stacklevel=4,  # the caller of the public function
+                )
+    return runs
 
 
 def _arc_power(v: PotentialSpec, ctx: WaveContext = None):
     """int |f|^2 over each arc of each side by adaptive GK15, with the
-    summed error estimates: two (2, 2) arrays indexed [side, arc], sides
-    (left, right), arcs (forward, backward).
+    summed error estimates, and the extinction samples: two (2, 2) arrays
+    indexed [side, arc], sides (left, right), arcs (forward, backward), and
+    (f^l(0), f^r(pi)).
 
-    Each side starts from ARC_PANELS equal panels per arc, both arcs in one
-    `born_f_2d` call, and is bisected (one call per round) until its summed
-    estimate is at most ARC_REL_TOL times the largest initial arc integral
-    of either side.  That one budget serves all four arcs: the right side of
-    a construction is at roundoff, where a budget of its own would never be
-    met.  Being relative, it also picks the same panels at g0 and 2 g0, so
-    the g0^2 law of the arcs holds exactly.
+    Each side starts from ARC_PANELS equal panels per arc.  The first call
+    of the Born kernel (`born._born_vtt_2d`) evaluates both sides' panels
+    and both extinction samples; then both sides are bisected in lockstep
+    (:func:`_bisect`, one call per round) until each side's summed estimate
+    is at most ARC_REL_TOL times the largest initial arc integral of either
+    side.  That one budget serves all four arcs: the right side of a
+    construction is at roundoff, where a budget of its own would never be
+    met, so it never refines and the whole budget costs 1 + R transform
+    calls for R rounds of the left side.  Being relative, the budget also
+    picks the same panels at g0 and 2 g0, so the g0^2 law of the arcs holds
+    exactly.
     """
     half = 0.5 * np.pi
     edges = np.linspace(-half, half, ARC_PANELS + 1)
@@ -253,33 +287,46 @@ def _arc_power(v: PotentialSpec, ctx: WaveContext = None):
         fwd = 0.5 * (lo + hi) < half
         return np.array([np.sum(x[fwd]), np.sum(x[~fwd])])
 
-    runs = []
-    for side in ("left", "right"):
+    def f2(theta, side):  # side 0 is left, 1 right
+        return np.abs(_amplitude_2d(_born_vtt_2d(v, theta, side == 1, ctx))) ** 2
 
-        def fn(theta, side=side):
-            return np.abs(born_f_2d(v, side, theta, ctx=ctx)) ** 2
+    extinction = []
 
-        runs.append((fn, *_gk_panels(fn, lo, hi)))
-    budget = ARC_REL_TOL * max(np.max(np.abs(arcs(lo, hi, total))) for _, total, _ in runs)
+    def first_call(theta):
+        # the left panels' nodes come first, then the right ones'; the
+        # extinction samples f^l(0) and f^r(pi) ride along at the end
+        n = theta.size // 2
+        right = np.repeat([False, True, False, True], [n, n, 1, 1])
+        vtt = _born_vtt_2d(v, np.append(theta, [0.0, np.pi]), right, ctx)
+        extinction.extend(_amplitude_2d(x) for x in vtt[-2:])
+        return np.abs(_amplitude_2d(vtt[:-2])) ** 2
+
+    total, err = _gk_panels(first_call, np.tile(lo, 2), np.tile(hi, 2))
+    runs = [(lo, hi, t, e) for t, e in zip(np.split(total, 2), np.split(err, 2))]
+    budget = ARC_REL_TOL * max(np.max(np.abs(arcs(lo, hi, t))) for _, _, t, _ in runs)
     sums, errs = np.zeros((2, 2)), np.zeros((2, 2))
-    for i, (fn, total, err) in enumerate(runs):
-        a, b, total, err = _bisect(fn, lo, hi, total, err, budget, ARC_MAX_DEPTH, "arc integral")
+    for i, (a, b, total, err) in enumerate(
+        _bisect(f2, runs, budget, ARC_MAX_DEPTH, "arc integral")
+    ):
         sums[i], errs[i] = arcs(a, b, total), arcs(a, b, err)
-    return sums, errs
+    return sums, errs, tuple(extinction)
 
 
 def total_power_changes(v: PotentialSpec, ctx: WaveContext = None) -> PowerSummary:
     """Arc-resolved power changes of a 2D potential at first Born order.
 
     Each arc integral of |f|^2 covers its whole arc, grazing edges included,
-    by adaptive Gauss-Kronrod on `born_f_2d` (see :func:`_arc_power`), to
-    about ARC_REL_TOL of the largest arc.  The extinction terms read f at
-    theta = 0 (left) and pi (right) directly.  `ctx` defaults to the
-    potential's own wave context.
+    by adaptive Gauss-Kronrod on the Born amplitude (see :func:`_arc_power`),
+    to about ARC_REL_TOL of the largest arc.  The extinction terms read f at
+    theta = 0 (left) and pi (right), sampled in the arcs' first transform
+    call, so the whole budget makes 1 + R transform calls for R refinement
+    rounds.  For a construction, whose transform is elementwise, each
+    sample equals `born_f_2d` at its angle bit for bit.  `ctx` defaults to
+    the potential's own wave context.
     """
-    sums, _ = _arc_power(v, ctx)
-    ext_left = EXTINCTION_FACTOR * float(np.imag(born_f_2d(v, "left", 0.0, ctx=ctx)))
-    ext_right = EXTINCTION_FACTOR * float(np.imag(born_f_2d(v, "right", np.pi, ctx=ctx)))
+    sums, _, (f_left, f_right) = _arc_power(v, ctx)
+    ext_left = EXTINCTION_FACTOR * float(np.imag(f_left))
+    ext_right = EXTINCTION_FACTOR * float(np.imag(f_right))
     return PowerSummary(
         left_backward=float(sums[0, 1]),
         left_forward=float(sums[0, 0]) - ext_left,
@@ -389,9 +436,11 @@ def _screen_sweep(params: ConstructionParams, d, s_values) -> np.ndarray:
     the same value as a sweep of that width alone.
 
     Only widths whose summed error estimate exceeds SCREEN_ABS_TOL * s are
-    refined, each on its own from the same panels: bisect wherever the
-    embedded Gauss rule disagrees with the Kronrod one until the summed
-    estimate drops below the budget.
+    refined, each from its own copy of the same panels and all of them in
+    lockstep (:func:`_bisect`): bisect wherever the embedded Gauss rule
+    disagrees with the Kronrod one until each width's summed estimate drops
+    below its budget, with one integrand call per round for all the widths,
+    so a width gets the value it would get refined alone.
     """
     integrand = _folded_screen_integrand(params, d)
     k = params.ctx.k
@@ -420,13 +469,15 @@ def _screen_sweep(params: ConstructionParams, d, s_values) -> np.ndarray:
 
     out = per_width(total_all) / s_values
     budgets = SCREEN_ABS_TOL * s_values
-    for i in np.flatnonzero(per_width(err_all) > budgets):
-        idx = np.r_[: used[i], whole + i]
-        _, _, total, _ = _bisect(
-            integrand, lo_all[idx], hi_all[idx], total_all[idx], err_all[idx],
-            budgets[i], SCREEN_MAX_DEPTH, "screen integral",
+    refine = np.flatnonzero(per_width(err_all) > budgets)
+    if refine.size:
+        panels = [np.r_[: used[i], whole + i] for i in refine]
+        runs = _bisect(
+            lambda y, _: integrand(y),
+            [(lo_all[p], hi_all[p], total_all[p], err_all[p]) for p in panels],
+            budgets[refine], SCREEN_MAX_DEPTH, "screen integral",
         )
-        out[i] = np.sum(total) / s_values[i]
+        out[refine] = [np.sum(total) for _, _, total, _ in runs] / s_values[refine]
     return out
 
 
@@ -450,7 +501,9 @@ def screen_power_oracle(params: ConstructionParams, screen: ScreenSpec) -> float
     Uniform panels over the whole screen sized to at most a pi/2 phase
     step, an ORACLE_NODES_PER_PANEL-point rule on each, on the unfolded
     integrand; independent of the Kronrod machinery and of the folded
-    integrand in :func:`screen_power`.
+    integrand in :func:`screen_power`.  The panels are evaluated at most
+    _ORACLE_BATCH_PANELS at a time into one array of panel sums, so the
+    oracle's memory stays flat however wide the screen.
     """
     integrand = _screen_integrand(params, screen.d)
     half = 0.5 * screen.s
@@ -460,9 +513,13 @@ def screen_power_oracle(params: ConstructionParams, screen: ScreenSpec) -> float
     xq, wq = leggauss(ORACLE_NODES_PER_PANEL)
     mid = 0.5 * (edges[:-1] + edges[1:])
     rad = 0.5 * np.diff(edges)
-    ys = mid[:, None] + rad[:, None] * xq[None, :]
-    vals = integrand(ys.ravel()).reshape(ys.shape)
-    return float(np.sum(rad * (vals @ wq)) / screen.s)
+    panel_sums = np.empty(n_panels)
+    for start in range(0, n_panels, _ORACLE_BATCH_PANELS):
+        part = slice(start, start + _ORACLE_BATCH_PANELS)
+        ys = mid[part, None] + rad[part, None] * xq[None, :]
+        vals = integrand(ys.ravel()).reshape(ys.shape)
+        panel_sums[part] = rad[part] * (vals @ wq)
+    return float(np.sum(panel_sums) / screen.s)
 
 
 def fig2_curves(

@@ -32,6 +32,8 @@ from uniscat.empower import (
     GK_NODES,
     GK_WEIGHTS,
     _arc_power,
+    _bisect,
+    _born_vtt_2d,
     _folded_screen_integrand,
     _gk_panels,
     _screen_integrand,
@@ -113,7 +115,7 @@ ARC_CASES = [(env, n) for env in ("quartic", "gaussian") for n in (2, 4, 12)]
 @pytest.mark.parametrize("envelope, n", ARC_CASES)
 def test_arcs_match_a_panelled_gauss_legendre_reference(arc_reference, envelope, n):
     v = _construction(envelope, n * np.pi)
-    sums, _ = _arc_power(v)
+    sums, _, _ = _arc_power(v)
     ref = np.array(
         [[arc_reference(v, side, lo) for lo in (-np.pi / 2, np.pi / 2)] for side in ("left", "right")]
     )
@@ -129,7 +131,7 @@ def test_arc_error_estimate_bounds_the_true_error(arc_reference, monkeypatch, to
     monkeypatch.setattr(empower, "ARC_REL_TOL", tol)
     for envelope, n in ARC_CASES:
         v = _construction(envelope, n * np.pi)
-        sums, errs = _arc_power(v)
+        sums, errs, _ = _arc_power(v)
         ref = np.array([arc_reference(v, "left", lo) for lo in (-np.pi / 2, np.pi / 2)])
         scale = np.max(np.abs(ref))
         assert np.sum(errs[0]) <= tol * scale
@@ -143,17 +145,81 @@ def test_roundoff_side_uses_no_more_nodes_than_the_left_side(monkeypatch):
     # it for every allowed round; the shared budget leaves it alone
     nodes = {"left": 0, "right": 0}
 
-    def counting(v, side, theta, ctx=None):
-        nodes[side] += np.size(theta)
-        return born_f_2d(v, side, theta, ctx=ctx)
+    def counting(v, theta, right, ctx=None):
+        # the arcs reach the amplitude only through the paired Born kernel
+        n_right = np.count_nonzero(np.broadcast_to(right, np.shape(theta)))
+        nodes["left"] += np.size(theta) - n_right
+        nodes["right"] += n_right
+        return _born_vtt_2d(v, theta, right, ctx)
 
-    monkeypatch.setattr(empower, "born_f_2d", counting)
-    for envelope, n in ARC_CASES:
+    monkeypatch.setattr(empower, "_born_vtt_2d", counting)
+    # per side, the arc nodes and the one extinction sample
+    pinned_left = [241, 721, 1561, 961, 1201, 1261]
+    for (envelope, n), left in zip(ARC_CASES, pinned_left):
         nodes.update(left=0, right=0)
         total_power_changes(_construction(envelope, n * np.pi))
         assert nodes["right"] <= nodes["left"], (envelope, n, nodes)
         # fewer amplitudes than the 2 x 2 x 801 samples of a fixed rule
         assert nodes["left"] + nodes["right"] <= 4 * 801, (envelope, n, nodes)
+        assert nodes == {"left": left, "right": 241}, (envelope, n)
+
+
+def test_power_budget_makes_one_transform_call_per_round(monkeypatch):
+    # both sides' panels and both extinction samples share the first call,
+    # and each round of the left side's refinement adds one (the separate
+    # sides and samples made 4, 5, 6, 6, 7 and 9)
+    calls = []
+    ft = PotentialSpec.ft
+
+    def counting(self, *ks):
+        calls.append(np.size(ks[0]))
+        return ft(self, *ks)
+
+    monkeypatch.setattr(PotentialSpec, "ft", counting)
+    counts = []
+    for envelope, n in ARC_CASES:
+        v = _construction(envelope, n * np.pi)
+        calls.clear()
+        total_power_changes(v)
+        counts.append(len(calls))
+    assert counts == [1, 2, 3, 3, 4, 6]
+
+
+def _side_integrand(v, sides):
+    """|f|^2 of integral i of a lockstep bisection on side sides[i]."""
+
+    def fn(theta, owner):
+        out = np.empty(theta.shape)
+        for i, side in enumerate(sides):
+            mine = owner == i
+            out[mine] = np.abs(born_f_2d(v, side, theta[mine])) ** 2
+        return out
+
+    return fn
+
+
+@pytest.mark.parametrize("envelope, n", ARC_CASES)
+def test_lockstep_bisection_equals_each_integral_alone(envelope, n):
+    v = _construction(envelope, n * np.pi)
+    edges = np.linspace(-np.pi / 2, np.pi / 2, empower.ARC_PANELS + 1)
+    lo = np.concatenate([edges[:-1], edges[:-1] + np.pi])
+    hi = np.concatenate([edges[1:], edges[1:] + np.pi])
+    runs = [
+        (lo, hi, *_gk_panels(lambda y, side=side: np.abs(born_f_2d(v, side, y)) ** 2, lo, hi))
+        for side in ("left", "right")
+    ]
+    # the shared budget: relative to the largest arc (8 panels) of either side
+    arcs = [np.sum(total.reshape(2, -1), axis=1) for _, _, total, _ in runs]
+    budget = empower.ARC_REL_TOL * np.max(np.abs(arcs))
+    depth = empower.ARC_MAX_DEPTH
+    both = _bisect(_side_integrand(v, ["left", "right"]), runs, budget, depth, "arc")
+    for side, run, paired in zip(("left", "right"), runs, both):
+        (alone,) = _bisect(_side_integrand(v, [side]), [run], budget, depth, "arc")
+        for x, y in zip(alone, paired):
+            assert np.array_equal(x, y), (envelope, n, side)
+    # the right side never refines; the left one does, but at quartic 2 pi
+    assert both[1][0].size == lo.size
+    assert (both[0][0].size > lo.size) == ((envelope, n) != ("quartic", 2))
 
 
 def test_arc_refinement_depth_warning(monkeypatch):
@@ -352,6 +418,21 @@ def test_wide_screen_memory_stays_flat(monkeypatch):
     assert peak < 48e6
 
 
+def test_wide_screen_oracle_memory_stays_flat():
+    # 39,208 panels of 24 nodes: in one call they peaked at about 137 MB
+    params = _params(k=2 * np.pi)
+    screen = ScreenSpec(d=100.0, s=1e4)
+    tracemalloc.start()
+    try:
+        oracle = screen_power_oracle(params, screen)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16e6
+    value = screen_power(params, screen)
+    assert abs(oracle - value) <= 1e-9 * abs(value)
+
+
 def _counting_gk_panels(monkeypatch):
     """Patch empower._gk_panels to record the size of every batch."""
     batches = []
@@ -416,7 +497,17 @@ def test_refined_sweep_equals_per_width_screen_power_and_the_oracle(monkeypatch)
     batches = _counting_gk_panels(monkeypatch)
     swept = _screen_sweep(params, 1.0, widths)
     assert len(batches) > 1  # the adaptive bisection ran
+    sweep_batches = len(batches)
     screens = [ScreenSpec(d=1.0, s=w) for w in widths]
+    rounds = []
+    for sc in screens:
+        batches.clear()
+        screen_power(params, sc)
+        rounds.append(len(batches) - 1)
+    # the widths refine in lockstep, one integrand call per round for all
+    # of them: measured 2 rounds each, so 3 batches where one width after
+    # another took 7
+    assert sweep_batches == 1 + max(rounds) == 3
     assert np.array_equal(swept, [screen_power(params, sc) for sc in screens])
     oracle = np.array([screen_power_oracle(params, sc) for sc in screens])
     assert np.max(np.abs(swept - oracle)) <= 1e-9 * np.max(np.abs(swept))
