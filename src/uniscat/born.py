@@ -90,8 +90,7 @@ def born_t_values(v: PotentialSpec, side: str, sign: str, p, ctx: WaveContext = 
     ctx = ctx or _ctx_of(v)
     w = omega(p, ctx)
     kx = _shift_argument(ctx, side, sign, w)
-    out = -1j * v.ft(kx, p) / (2.0 * w)
-    return out if np.ndim(out) else complex(out)
+    return -1j * v.ft(kx, p) / (2.0 * w)
 
 
 def born_f_2d(v: PotentialSpec, side: str, theta, ctx: WaveContext = None):
@@ -141,8 +140,7 @@ def born_t_3d(v: PotentialSpec, side: str, sign: str, px, py):
     py = np.asarray(py, dtype=float)
     w = omega(np.hypot(px, py), ctx)
     kz = _shift_argument(ctx, side, sign, w)
-    out = -1j * v.ft(px, py, kz) / (2.0 * w)
-    return out if np.ndim(out) else complex(out)
+    return -1j * v.ft(px, py, kz) / (2.0 * w)
 
 
 def born_f_3d(v: PotentialSpec, side: str, theta, phi):
@@ -160,8 +158,7 @@ def born_f_3d(v: PotentialSpec, side: str, theta, phi):
     px = ctx.k * s * np.cos(phi)
     py = ctx.k * s * np.sin(phi)
     kz = -ctx.k * (1.0 - c) if side == "left" else ctx.k * (1.0 + c)
-    out = -v.ft(px, py, kz) / (4.0 * np.pi)
-    return out if np.ndim(out) else complex(out)
+    return -v.ft(px, py, kz) / (4.0 * np.pi)
 
 
 # ---------------------------------------------------------------------------
@@ -177,19 +174,18 @@ def closed_form_t_left(params: ConstructionParams, sign: str, p):
     with p_mp = k -/+ omega(p).  The parenthesis zeros at p_mp = -l K or
     -m K (possible when a harmonic is negative) are removable: the
     transform's kernel :func:`uniscat.construct._pole_free_ratio` at -p_mp.
+    Everything but gt / omega is i sqrt(2 pi) times the factor
+    :func:`_closed_form_left_factor` of the amplitude at shift p_mp.
     """
     if sign not in _SIGNS:
         raise ValueError(f"sign must be one of {_SIGNS}, got {sign!r}")
-    env = params._env1d()
     p = np.asarray(p, dtype=float)
     ctx = params.ctx
     w = omega(p, ctx)
     shift = ctx.k - w if sign == "plus" else ctx.k + w
-    roots = (params.ell * params.K, params.m * params.K)
-    core = _pole_free_ratio(params.slab, -shift, roots)
     out = (
-        2.0 * params.ell * params.m * params.K**2 * ctx.k
-        * core * env.ft(p) / w
+        1j * np.sqrt(2.0 * np.pi) * _closed_form_left_factor(params, shift)
+        * params._env1d().ft(p) / w
     )
     return out if np.ndim(out) else complex(out)
 

@@ -77,7 +77,7 @@ precise form and are used as checks:
 
 Incident plane waves are the grid delta d = 2 pi / w_j0 at the center
 node.  An incident solution fixes the incoming coefficients A_- and B_+
-(A_- = d, B_+ = 0 from the left; A_- = 0, B_+ = d from the right), and one
+(A_- = d, B_+ = 0 from the left; A_- = 0, B_+ = d from the right), and a
 solve against the M22 block gives the outgoing ones B_- and A_+ (see
 :func:`scattering_coeffs`).  On either side the transmission/reflection
 functions are outgoing minus incoming, T_+ = A_+ - A_- and T_- = B_- - B_+,
@@ -86,7 +86,9 @@ and they are read off W with no subtraction of the incident wave:
     left:   B_- = -M22^{-1} W21 d,   T_+ = W11 d + W12 B_-,   T_- = B_-;
     right:  T_- = -M22^{-1} W22 d,   T_+ = W12 M22^{-1} d = W12 (d + T_-),
 
-with W12 (d + T_-) evaluated as W12 d + W12 T_-.
+with W12 (d + T_-) evaluated as W12 d + W12 T_-.  The two sides are the
+two columns of one solve, M22 X = -[W21 d, W22 d], made once per operator
+at its first read; every reader shares the four T-functions it gives.
 A nearly singular M22 signals a spectral singularity (zero-width
 resonance); it is reported as a warning, not an error.
 """
@@ -148,7 +150,8 @@ class TransferOperator:
 
     `scattered` is its scattered part W = M - I, the 2N x 2N array in
     (A-block, B-block) ordering that the evolution carries; `matrix` is
-    the full I + W and m11 .. m22 are its N x N mover blocks.
+    the full I + W and m11 .. m22 are its N x N mover blocks.  Its four
+    T-functions are solved for at the first read and kept read-only.
     """
 
     grid: MomentumGrid
@@ -194,9 +197,29 @@ class TransferOperator:
                 f"{SPECTRAL_COND_LIMIT:g}: spectral singularity suspected; "
                 "extracted T-functions are unreliable",
                 SpectralSingularityWarning,
-                stacklevel=4,
+                stacklevel=5,  # past _t_functions and cached_property
             )
         return np.linalg.solve(self.m22, rhs)
+
+    @cached_property
+    def _t_functions(self) -> dict:
+        """The four T-functions on the grid nodes, keyed 'left_plus',
+        'left_minus', 'right_plus', 'right_minus', as read-only arrays:
+        one M22 solve with the left and the right incident side as its two
+        columns (see the module docstring)."""
+        d = delta_vector(self.grid)
+        n, w = self.n, self.scattered
+        # [W11 d, W12 d] over [W21 d, W22 d]: column 0 the left side, 1 the right
+        wd = np.column_stack([w[:, :n] @ d, w[:, n:] @ d])
+        minus = -self.solve_m22(wd[n:]).T.copy()
+        # W12 times one side at a time: a two-column product rounds differently
+        plus = np.array([wd[:n, c] + w[:n, n:] @ minus[c] for c in (0, 1)])
+        plus.flags.writeable = minus.flags.writeable = False
+        return {
+            f"{side}_{sign}": t[c]
+            for c, side in enumerate(("left", "right"))
+            for sign, t in (("plus", plus), ("minus", minus))
+        }
 
 
 @dataclass(frozen=True)
@@ -394,27 +417,12 @@ def born_operator(v: PotentialSpec, grid: MomentumGrid) -> TransferOperator:
 # extraction
 
 
-def _scattered_waves(op: TransferOperator, side: str):
-    """(T_+, T_-) of the left- or right-incident solution, read off the
-    scattered part W with no subtraction of the incident wave (see the
-    module docstring); one M22 solve."""
-    _check_side_sign(side)
-    d = delta_vector(op.grid)
-    n, w = op.n, op.scattered
-    w12 = w[:n, n:]
-    if side == "left":
-        b_minus = -op.solve_m22(w[n:, :n] @ d)
-        return w[:n, :n] @ d + w12 @ b_minus, b_minus
-    t_minus = -op.solve_m22(w[n:, n:] @ d)
-    return w12 @ d + w12 @ t_minus, t_minus
-
-
 def scattering_coeffs(op: TransferOperator, side: str):
     """Asymptotic (A, B) pairs of the left- or right-incident solution.
 
     The incoming coefficients are A_- = d, B_+ = 0 (left) or A_- = 0,
-    B_+ = d (right), with d the incident delta; one M22 solve gives the
-    outgoing ones on either side,
+    B_+ = d (right), with d the incident delta; the operator's one M22
+    solve gives the outgoing ones on either side,
 
         B_- = M22^{-1} (B_+ - M21 A_-),      A_+ = M11 A_- + M12 B_-,
 
@@ -423,13 +431,14 @@ def scattering_coeffs(op: TransferOperator, side: str):
 
     Returns (coeffs at -inf, coeffs at +inf).
     """
-    t_plus, t_minus = _scattered_waves(op, side)
+    _check_side_sign(side)
+    t = op._t_functions
     d = delta_vector(op.grid)
     zero = np.zeros_like(d)
     a_minus, b_plus = (d, zero) if side == "left" else (zero, d)
     return (
-        AsymptoticCoeffs(a=a_minus, b=b_plus + t_minus),
-        AsymptoticCoeffs(a=a_minus + t_plus, b=b_plus),
+        AsymptoticCoeffs(a=a_minus, b=b_plus + t[f"{side}_minus"]),
+        AsymptoticCoeffs(a=a_minus + t[f"{side}_plus"], b=b_plus),
     )
 
 
@@ -440,24 +449,17 @@ def extract_t(op: TransferOperator, side: str, sign: str) -> TransferTable:
         T_+ = A_+ - A_-,      T_- = B_- - B_+,
 
     on either side, read off the scattered part W = M - I with no
-    subtraction of the incident wave (see the module docstring).
+    subtraction of the incident wave (see the module docstring).  The
+    values are the operator's own read-only array.
     """
     _check_side_sign(side, sign)
-    t_plus, t_minus = _scattered_waves(op, side)
-    return TransferTable(t_plus if sign == "plus" else t_minus)
+    return TransferTable(op._t_functions[f"{side}_{sign}"])
 
 
 def transfer_tables(op: TransferOperator) -> dict:
-    """All four T-functions, keyed 'left_plus', 'left_minus', ....
-
-    One M22 solve per side serves both of its signs.
-    """
-    tables = {}
-    for side in ("left", "right"):
-        t_plus, t_minus = _scattered_waves(op, side)
-        tables[f"{side}_plus"] = TransferTable(t_plus)
-        tables[f"{side}_minus"] = TransferTable(t_minus)
-    return tables
+    """All four T-functions, keyed 'left_plus', 'left_minus', ...: a view
+    of the operator's one M22 solve, which serves both sides."""
+    return {key: TransferTable(values) for key, values in op._t_functions.items()}
 
 
 # ---------------------------------------------------------------------------

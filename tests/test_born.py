@@ -3,6 +3,8 @@ constructed potentials."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -133,11 +135,16 @@ def test_grazing_guards():
 def test_amplitudes_return_complex_for_a_scalar_and_keep_an_array_shape():
     params = _construction()
     v = build_potential_2d(params)
+    v3 = build_potential_3d(
+        replace(params, envelope=(quartic_envelope(1e-2, 1.0), quartic_envelope(1.0, 1.0)))
+    )
     routes = {
         "closed_form_f_left": lambda x: closed_form_f_left(params, x),
         "closed_form_t_left": lambda x: closed_form_t_left(params, "plus", x),
         "born_f_2d": lambda x: born_f_2d(v, "left", x),
         "born_t_values": lambda x: born_t_values(v, "left", "plus", x),
+        "born_t_3d": lambda x: born_t_3d(v3, "left", "plus", x, 0.5 * x),
+        "born_f_3d": lambda x: born_f_3d(v3, "left", x, 0.7),
     }
     grid = np.array([[0.1, 0.2, 0.3], [-0.4, 0.5, 0.6]])
     for name, route in routes.items():

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -355,6 +356,24 @@ def test_singular_m22_is_a_numerical_failure(tmp_path, monkeypatch, capsys):
     with pytest.warns(SpectralSingularityWarning):
         assert main(["verify", "--grid-n", "9", "--out", str(tmp_path / "v.json")]) == 3
     assert capsys.readouterr().err.startswith("numerical failure: ")
+
+
+def test_near_singular_m22_warns_once_at_the_command(tmp_path, monkeypatch):
+    # solvable, but past the spectral-singularity condition limit
+    def near_singular(v, grid, slices=None):
+        scattered = np.zeros((2 * grid.n, 2 * grid.n), dtype=complex)
+        scattered[grid.n :, grid.n :] = np.diag(np.r_[np.zeros(grid.n - 1), 1e-14 - 1.0])
+        return TransferOperator(grid=grid, scattered=scattered, slices=1)
+
+    monkeypatch.setattr(uniscat.cli, "evolve_transfer", near_singular)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["verify", "--grid-n", "9", "--out", str(tmp_path / "v.json")]) == 0
+    singular = [w for w in caught if issubclass(w.category, SpectralSingularityWarning)]
+    assert len(singular) == 1
+    # attributed to the command that first read the operator
+    assert Path(singular[0].filename).name == "cli.py"
+    assert json.loads((tmp_path / "v.json").read_text())["m22_condition"] > 1e12
 
 
 def test_config_file_layering(tmp_path):

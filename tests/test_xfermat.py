@@ -393,8 +393,10 @@ def test_spectral_singularity_warning():
     m[n:, n:] = np.diag(np.r_[np.ones(n - 1), 1e-16])
     op = TransferOperator(grid=grid, scattered=m - np.eye(2 * n), slices=1)
     assert op.m22_condition > 1e12
-    with pytest.warns(SpectralSingularityWarning):
+    with pytest.warns(SpectralSingularityWarning) as record:
         extract_t(op, "right", "minus")
+    # attributed to the caller of the public reader
+    assert record[0].filename == __file__
 
 
 def test_integration_error_on_non_finite_values():
@@ -445,10 +447,10 @@ def test_solve_m22_is_a_linear_solve():
     assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
 
-def test_classify_makes_one_m22_solve_per_side(monkeypatch):
+def test_every_reader_shares_one_m22_solve(monkeypatch):
     v = random_smooth_potential(3)
     grid = gauss_grid(15, CTX)
-    op = evolve_transfer(v, grid, slices=100)
+    evolved = evolve_transfer(v, grid, slices=100)
     solves = []
     plain = TransferOperator.solve_m22
 
@@ -457,12 +459,39 @@ def test_classify_makes_one_m22_solve_per_side(monkeypatch):
         return plain(self, rhs)
 
     monkeypatch.setattr(TransferOperator, "solve_m22", counting)
-    xfermat.classify(op, 1e-6)
-    assert len(solves) == 2
-    # the shared solve gives each table the bits of its own extract_t
+    readers = [
+        lambda op: predicates(op, 1e-6),
+        lambda op: scattering_coeffs(op, "left"),
+        lambda op: scattering_coeffs(op, "right"),
+        *(lambda op, key=key: extract_t(op, *key.split("_"))
+          for key in ("left_plus", "left_minus", "right_plus", "right_minus")),
+        transfer_tables,
+        lambda op: xfermat.classify(op, 1e-6),
+    ]
+    for order in (readers, readers[::-1]):
+        op = TransferOperator(grid=grid, scattered=evolved.scattered, slices=100)
+        solves.clear()
+        for read in order:
+            read(op)
+        # both incident sides are the two columns of the one solve
+        assert len(solves) == 1 and solves[0].shape == (grid.n, 2)
+    # and each table has the bits of its own extract_t
     for key, table in transfer_tables(op).items():
         side, sign = key.split("_")
         assert np.array_equal(table.values, extract_t(op, side, sign).values)
+
+
+def test_t_functions_are_read_only():
+    op = evolve_transfer(_constructed(), gauss_grid(9, CTX), slices=40)
+    values = extract_t(op, "left", "plus").values
+    with pytest.raises(ValueError, match="read-only"):
+        values[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        transfer_tables(op)["right_minus"].values *= 2.0
+    # a coefficient vector is the caller's own fresh array
+    before = values.copy()
+    scattering_coeffs(op, "left")[1].a[:] = 0.0
+    assert np.array_equal(extract_t(op, "left", "plus").values, before)
 
 
 def test_operator_export_layout():
