@@ -34,7 +34,8 @@ pvec = k sin th (cos phi, sin phi).
 For the three-harmonic construction the left amplitudes additionally have
 single-line closed forms (see :func:`closed_form_t_left`), used as the
 independent route in consistency checks and as the cheap evaluator for the
-screen-power observable.
+screen-power observable, which reads only their even part in theta
+(:func:`_closed_form_f_left_even`).
 """
 
 from __future__ import annotations
@@ -105,9 +106,9 @@ def _born_vtt_2d(v: PotentialSpec, theta, right, ctx: WaveContext = None):
     f^r(theta) where it is true (theta and right broadcast), in one `v.ft`
     call: the one kernel of :func:`born_f_2d`, which the power budget calls
     directly to evaluate both sides at once.  A closed-form transform (the
-    constructions) is elementwise, so each sample is the one a call for its
-    side alone gives; the x-quadrature transform of other potentials is a
-    matrix product, whose rounding can depend on the batch."""
+    constructions) is elementwise and the x-quadrature one of other
+    potentials reduces each sample on its own, so each sample is the one a
+    call for its side alone gives."""
     if v.dim != 2:
         raise ValueError("born_f_2d is the 2D route; use born_f_3d")
     ctx = ctx or _ctx_of(v)
@@ -214,13 +215,24 @@ def closed_form_f_left(params: ConstructionParams, theta):
     forward and p_plus backward), grazing included.  Everything but gt is
     the even factor :func:`_closed_form_left_factor`.
     """
+    out = _closed_form_f_left_even(params, theta, even=False)
+    return out if np.ndim(out) else complex(out)
+
+
+def _closed_form_f_left_even(params: ConstructionParams, theta, even=True):
+    """The even part (f^l(theta) + f^l(-theta)) / 2 of the closed form in
+    one transform call, or f^l itself with even=False.
+
+    f^l = c gt(k sin theta) with c even in theta, and g is g0 times a real
+    profile, so gt(-q) = g0 conj(gt(q) / g0).  So the even part is
+    c gt_even(k sin theta), gt_even(q) = (gt(q) + gt(-q)) / 2 being the
+    transform of the envelope's even part (`Envelope.ft_even`).
+    """
     env = params._env1d()
     theta = np.asarray(theta, dtype=float)
     k = params.ctx.k
-    out = _closed_form_left_factor(params, k * (1.0 - np.cos(theta))) * env.ft(
-        k * np.sin(theta)
-    )
-    return out if np.ndim(out) else complex(out)
+    ft = env.ft_even if even else env.ft
+    return _closed_form_left_factor(params, k * (1.0 - np.cos(theta))) * ft(k * np.sin(theta))
 
 
 # ---------------------------------------------------------------------------

@@ -28,21 +28,16 @@ du(y) = (1 + cos theta) xi over the screen,
 
     dP_screen(s) = (1 / s) int_{-s/2}^{s/2} du dy,   r = sqrt(d^2 + y^2).
 
-One xi kernel serves :func:`xi` and both screen integrands, given the
-amplitude f.  Both write the phase k r (1 - cos theta) without
-cancellation: :func:`xi` as 2 k r sin^2(theta / 2), the screen integrands
-as k y^2 / (r + d), which also take 1 + cos theta as 1 + d/r.
+One xi kernel serves :func:`xi` and the screen integrand, which takes any
+vectorized amplitude f.  Both write the phase k r (1 - cos theta) without
+cancellation: :func:`xi` as 2 k r sin^2(theta / 2), the screen integrand
+as k y^2 / (r + d), which also takes 1 + cos theta as 1 + d/r.
 
-The screen is centred, so the integral folds onto y >= 0.  The closed-form
-amplitude is f^l(theta) = c(theta) gt(k sin theta), where c depends on
-theta only through k (1 - cos theta) and is even, and g is g0 times a real
-profile, so gt(-q) = g0 conj(gt(q) / g0).  Hence
-
-    du(y) + du(-y) = 2 (1 + d/r) Re[sqrt(i / (k r)) e^{i k (r - d)}
-                                    c(theta) gt_even(k sin theta)],
-
-gt_even(q) = (gt(q) + gt(-q)) / 2 (`Envelope.ft_even`): a centred screen
-sees only the even part of g.
+The screen is centred, so the integral folds onto y >= 0.  r, the phase
+and 1 + d/r are even in y and theta is odd, so for any amplitude
+du(y) + du(-y) is 2 du on the even part (f(theta) + f(-theta)) / 2: a
+centred screen sees only the even part of the amplitude.  For the
+construction it costs one transform call (`born._closed_form_f_left_even`).
 
 The phase k (r - d) oscillates fast for wide screens, so the folded
 integral is done with vectorized 15-point Gauss-Kronrod panels cut at pi
@@ -69,11 +64,12 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .born import _amplitude_2d, _born_vtt_2d, _closed_form_left_factor, closed_form_f_left
+from .born import _amplitude_2d, _born_vtt_2d, _closed_form_f_left_even, closed_form_f_left
 from .construct import ConstructionParams
 from .envelopes import quartic_envelope
 from .grids import WaveContext
@@ -320,9 +316,10 @@ def total_power_changes(v: PotentialSpec, ctx: WaveContext = None) -> PowerSumma
     to about ARC_REL_TOL of the largest arc.  The extinction terms read f at
     theta = 0 (left) and pi (right), sampled in the arcs' first transform
     call, so the whole budget makes 1 + R transform calls for R refinement
-    rounds.  For a construction, whose transform is elementwise, each
-    sample equals `born_f_2d` at its angle bit for bit.  `ctx` defaults to
-    the potential's own wave context.
+    rounds.  Each sample equals `born_f_2d` at its angle bit for bit when
+    the transform rounds each sample on its own, as the closed form and the
+    x-quadrature both do; a user's `ft_fn` need not.  `ctx` defaults to the
+    potential's own wave context.
     """
     sums, _, (f_left, f_right) = _arc_power(v, ctx)
     ext_left = EXTINCTION_FACTOR * float(np.imag(f_left))
@@ -363,39 +360,15 @@ def xi(params: ConstructionParams, r, theta):
     return _xi(k, r, phase, closed_form_f_left(params, theta))
 
 
-def _screen_integrand(params: ConstructionParams, d):
-    """y -> du(y) = (1 + cos theta) xi on a screen at distance d."""
-    _check_construction(params)
-    k = params.ctx.k
+def _screen_integrand(k, d, f):
+    """y -> du(y) = (1 + cos theta) xi on a screen at distance d, for the
+    vectorized amplitude f(theta) at wavenumber k."""
 
     def integrand(y):
         r = np.hypot(d, y)
         # r - d = y^2 / (r + d) avoids cancellation at wide screens
         phase = k * (y * y / (r + d))
-        f = closed_form_f_left(params, np.arctan2(y, d))
-        return (1.0 + d / r) * _xi(k, r, phase, f)
-
-    return integrand
-
-
-def _folded_screen_integrand(params: ConstructionParams, d):
-    """y -> du(y) + du(-y) on a screen at distance d, for y >= 0.
-
-    r and the phase are even in y, and so is the factor c of f^l = c gt
-    (it depends on theta only through k (1 - cos theta)), so the pair is
-    2 (1 + d/r) xi with f replaced by c times the transform of the
-    envelope's even part at k sin theta.
-    """
-    _check_construction(params)
-    k = params.ctx.k
-    env = params._env1d()
-
-    def integrand(y):
-        r = np.hypot(d, y)
-        phase = k * (y * y / (r + d))
-        theta = np.arctan2(y, d)
-        c = _closed_form_left_factor(params, k * (1.0 - np.cos(theta)))
-        return 2.0 * (1.0 + d / r) * _xi(k, r, phase, c * env.ft_even(k * np.sin(theta)))
+        return (1.0 + d / r) * _xi(k, r, phase, f(np.arctan2(y, d)))
 
     return integrand
 
@@ -417,13 +390,14 @@ def _gk_panels(fn_y, lo, hi):
     return k15, np.abs(k15 - g7)
 
 
-def _screen_sweep(params: ConstructionParams, d, s_values) -> np.ndarray:
-    """dP_screen at every width of s_values, from one shared set of panels.
+def _screen_sweep(k, d, s_values, f_even) -> np.ndarray:
+    """dP_screen at every width of s_values, from one shared set of panels,
+    of the amplitude whose even part is f_even.
 
     The screen is centred, so dP_screen(s) = (1/s) int_0^{s/2} (du(y) +
-    du(-y)) dy, the folded integrand.  A width s is cut at the
-    _SCREEN_PHASE_STEP (pi) phase increments c_1 < c_2 < ... of k (r - d)
-    below s/2 (c_0 = 0).  With n such cuts it has the whole panels
+    du(-y)) dy, the folded integrand 2 du on f_even.  A width s is cut at
+    the _SCREEN_PHASE_STEP (pi) phase increments c_1 < c_2 < ... of
+    k (r - d) below s/2 (c_0 = 0).  With n such cuts it has the whole panels
     [c_{j-1}, c_j] for j = 1 .. n and the end panel [c_n, s/2].  The cuts do
     not depend on s, so a narrower screen's whole panels are a prefix of the
     widest screen's.  Every whole panel and the end panel of every width go
@@ -442,8 +416,11 @@ def _screen_sweep(params: ConstructionParams, d, s_values) -> np.ndarray:
     below its budget, with one integrand call per round for all the widths,
     so a width gets the value it would get refined alone.
     """
-    integrand = _folded_screen_integrand(params, d)
-    k = params.ctx.k
+    du_even = _screen_integrand(k, d, f_even)
+
+    def integrand(y):
+        return 2.0 * du_even(y)
+
     s_values = np.asarray(s_values, dtype=float)
     half = 0.5 * s_values
     # cuts m = 1 .. floor(k (r(s/2) - d) / step) that lie below s/2
@@ -492,7 +469,9 @@ def screen_power(params: ConstructionParams, screen: ScreenSpec) -> float:
     result itself is good to about SCREEN_ABS_TOL); after SCREEN_MAX_DEPTH
     rounds it warns and returns what it has.
     """
-    return float(_screen_sweep(params, screen.d, [screen.s])[0])
+    _check_construction(params)
+    f_even = partial(_closed_form_f_left_even, params)
+    return float(_screen_sweep(params.ctx.k, screen.d, [screen.s], f_even)[0])
 
 
 def screen_power_oracle(params: ConstructionParams, screen: ScreenSpec) -> float:
@@ -500,12 +479,14 @@ def screen_power_oracle(params: ConstructionParams, screen: ScreenSpec) -> float
 
     Uniform panels over the whole screen sized to at most a pi/2 phase
     step, an ORACLE_NODES_PER_PANEL-point rule on each, on the unfolded
-    integrand; independent of the Kronrod machinery and of the folded
-    integrand in :func:`screen_power`.  The panels are evaluated at most
-    _ORACLE_BATCH_PANELS at a time into one array of panel sums, so the
-    oracle's memory stays flat however wide the screen.
+    integrand of the closed form itself; independent of the Kronrod
+    machinery and of the folded even part in :func:`screen_power`.  The
+    panels are evaluated at most _ORACLE_BATCH_PANELS at a time into one
+    array of panel sums, so the oracle's memory stays flat however wide the
+    screen.
     """
-    integrand = _screen_integrand(params, screen.d)
+    _check_construction(params)
+    integrand = _screen_integrand(params.ctx.k, screen.d, partial(closed_form_f_left, params))
     half = 0.5 * screen.s
     phi_max = params.ctx.k * (np.hypot(screen.d, half) - screen.d)
     n_panels = max(8, int(np.ceil(phi_max / (np.pi / 2.0))) * 2)
@@ -557,7 +538,9 @@ def fig2_curves(
                 k=float(k),
                 d=d,
                 s_values=s_values.copy(),
-                values=_screen_sweep(params, d, s_values),
+                values=_screen_sweep(
+                    params.ctx.k, d, s_values, partial(_closed_form_f_left_even, params)
+                ),
                 label=f"ell={ell} m={m} g0={g0:g} b={b:g}",
             )
         )

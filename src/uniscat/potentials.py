@@ -212,11 +212,16 @@ class PotentialSpec:
     # -- quadrature fallbacks -------------------------------------------
 
     def _ft_quad_2d(self, kx, ky):
-        """sum_t fy_t(Ky) * integral dx exp(-i Kx x) fx_t(x), by x-quadrature."""
+        """sum_t fy_t(Ky) * integral dx exp(-i Kx x) fx_t(x), by x-quadrature.
+
+        Each sample's x-quadrature is its own vector-matrix product (a
+        stacked matmul, not one matrix product over the batch), so a sample
+        rounds the same whatever batch it is evaluated in.
+        """
         xn, wx = _gl_rule(QUAD_NODES, *map(float, self.x_support))
         fy, fx = self._transverse_factors(ky)
         ex = np.exp(-1j * np.multiply.outer(kx, xn))
-        fxt = ex @ (wx[:, None] * fx(xn))
+        fxt = (ex[..., None, :] @ (wx[:, None] * fx(xn)))[..., 0, :]
         return np.sum(fy * fxt, axis=-1)
 
     def _ft_quad_3d(self, kx, ky, kz):

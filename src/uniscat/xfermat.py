@@ -95,6 +95,7 @@ resonance); it is reported as a warning, not an error.
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -197,7 +198,7 @@ class TransferOperator:
                 f"{SPECTRAL_COND_LIMIT:g}: spectral singularity suspected; "
                 "extracted T-functions are unreliable",
                 SpectralSingularityWarning,
-                stacklevel=5,  # past _t_functions and cached_property
+                stacklevel=_outside_stacklevel(),
             )
         return np.linalg.solve(self.m22, rhs)
 
@@ -220,6 +221,18 @@ class TransferOperator:
             for c, side in enumerate(("left", "right"))
             for sign, t in (("plus", plus), ("minus", minus))
         }
+
+
+def _outside_stacklevel():
+    """The warnings.warn stacklevel, from a method of this module, of the
+    first frame outside this module and `functools` (whose cached_property
+    makes the first read of the T-functions): the user's line, whichever
+    reader or direct call got to the warning.  Only the warning path walks
+    the stack."""
+    frame, level = sys._getframe(2), 2
+    while frame is not None and frame.f_globals.get("__name__") in (__name__, "functools"):
+        frame, level = frame.f_back, level + 1
+    return level
 
 
 @dataclass(frozen=True)

@@ -22,9 +22,12 @@ from uniscat import (
     closed_form_f_left,
     closed_form_t_left,
     gaussian_envelope,
+    potential_from_samples,
     quartic_envelope,
     random_smooth_potential,
+    sample_potential,
 )
+from uniscat.born import _amplitude_2d, _born_vtt_2d
 
 K4 = 4 * np.pi
 
@@ -153,6 +156,28 @@ def test_amplitudes_return_complex_for_a_scalar_and_keep_an_array_shape():
         array = route(grid)
         assert array.shape == grid.shape, name
         assert array[0, 2] == pytest.approx(scalar, rel=1e-13), name
+
+
+@pytest.mark.parametrize("tabulated", [False, True])
+def test_quadrature_transform_does_not_depend_on_the_batch(tabulated):
+    # potentials with no closed-form transform go through the x-quadrature
+    v = random_smooth_potential(1)
+    if tabulated:
+        v = potential_from_samples(*sample_potential(v, 41, 41))
+    ctx = WaveContext(k=K4)
+    th = np.r_[0.0, np.random.default_rng(5).uniform(-np.pi, np.pi, 100)]
+    for side in ("left", "right"):
+        batch = born_f_2d(v, side, th, ctx)
+        assert np.array_equal(born_f_2d(v, side, th[:3], ctx), batch[:3])
+        assert np.array_equal(born_f_2d(v, side, th.reshape(-1, 1), ctx).ravel(), batch)
+        vtt = _born_vtt_2d(v, th, side == "right", ctx)
+        for i, t in enumerate(th[:20]):
+            assert np.array_equal(born_f_2d(v, side, th[i : i + 1], ctx), batch[i : i + 1])
+            # a scalar call divides its one sample as a Python complex
+            assert born_f_2d(v, side, t, ctx) == _amplitude_2d(vtt[i])
+    # the forward sample alone equals element 0 of a 3- and a 101-angle batch
+    alone = born_f_2d(v, "left", 0.0, ctx)
+    assert alone == born_f_2d(v, "left", th[:3], ctx)[0] == born_f_2d(v, "left", th, ctx)[0]
 
 
 def test_amplitude_table_round_trip_and_validation():

@@ -7,6 +7,7 @@ carry method-order tolerances.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import replace
 
 import numpy as np
@@ -386,17 +387,30 @@ def test_classify_rejects_a_bad_tolerance(tol):
     assert not predicates(op, 0.0)["left_invisible"]
 
 
-def test_spectral_singularity_warning():
+@pytest.mark.parametrize(
+    "entry",
+    ["extract_t", "scattering_coeffs", "transfer_tables", "classify", "predicates", "solve_m22"],
+)
+def test_spectral_singularity_warning(entry):
     grid = gauss_grid(9, CTX)
     n = grid.n
     m = np.eye(2 * n, dtype=complex)
     m[n:, n:] = np.diag(np.r_[np.ones(n - 1), 1e-16])
     op = TransferOperator(grid=grid, scattered=m - np.eye(2 * n), slices=1)
     assert op.m22_condition > 1e12
+    read = getattr(xfermat, entry, None) or getattr(TransferOperator, entry)
+    args = {
+        "extract_t": ("right", "minus"),
+        "scattering_coeffs": ("left",),
+        "classify": (1e-6,),
+        "predicates": (1e-6,),
+        "solve_m22": (np.ones(n),),
+    }.get(entry, ())
     with pytest.warns(SpectralSingularityWarning) as record:
-        extract_t(op, "right", "minus")
-    # attributed to the caller of the public reader
-    assert record[0].filename == __file__
+        line = inspect.currentframe().f_lineno + 1
+        read(op, *args)
+    # attributed to the line that called the public entry, whichever it is
+    assert (record[0].filename, record[0].lineno) == (__file__, line)
 
 
 def test_integration_error_on_non_finite_values():
