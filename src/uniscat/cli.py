@@ -10,7 +10,9 @@ back bit-identically; every CSV opens with a '#' comment carrying the
 resolved configuration as JSON.
 
 Exit codes: 0 success, 2 invalid arguments or configuration, 3 numerical
-failure (blown-up integration, singular M22), 4 I/O failure.
+failure (blown-up integration, singular M22), 4 I/O failure. A flag's text
+and a --config value share one conversion and one set of checks, so an
+invalid value from either makes ``main`` return 2.
 """
 
 from __future__ import annotations
@@ -42,33 +44,6 @@ from .xfermat import (
 
 __all__ = ["main", "build_parser", "parse_k", "read_table"]
 
-# Every option: name -> (default, argparse spec of its --flag).
-_OPTIONS = {
-    "k": ("4pi", dict(type=str, help="wavenumber; accepts multiples of pi like 2pi")),
-    "ell": (-1, dict(type=int, help="first grating harmonic (nonzero integer)")),
-    "m": (1, dict(type=int, help="second grating harmonic (nonzero, != ell)")),
-    "envelope": ("quartic", dict(choices=("gaussian", "quartic"), help="transverse envelope")),
-    "g0": (1e-2, dict(type=float, help="envelope strength")),
-    "b": (1.0, dict(type=float, help="envelope width")),
-    "slab": (1.0, dict(type=float, help="slab thickness")),
-    "grid_n": (41, dict(type=int, help="momentum nodes (odd)")),
-    "slices": (None, dict(type=int, help="integration slices")),
-    "tol": (1e-6, dict(type=float, help="predicate tolerance")),
-    "side": ("left", dict(choices=("left", "right"), help="incidence side")),
-    "method": ("born", dict(choices=("born", "closed"), help="amplitude route")),
-    "thetas": (721, dict(type=int, help="angle sample count")),
-    "nx": (201, dict(type=int, help="x samples")),
-    "ny": (201, dict(type=int, help="y samples")),
-    "d": (100.0, dict(type=float, help="screen distance")),
-    "s": (10.0, dict(type=float, help="screen width")),
-    "s_max": (100.0, dict(type=float, help="largest screen width")),
-    "samples": (400, dict(type=int, help="screen width count")),
-    "ks": ("2pi,4pi,8pi,12pi", dict(type=str, help="comma-separated wavenumbers")),
-    "format": ("csv", dict(choices=("csv", "json"), help="output format")),
-    "out": (None, dict(type=str, help="output path ('-' for stdout)")),
-    "out_dir": (".", dict(type=str, help="output directory")),
-}
-
 
 def parse_k(text) -> float:
     """Wavenumber parser: plain float, or a multiple of pi like '2pi'."""
@@ -82,6 +57,33 @@ def parse_k(text) -> float:
     return float(s)
 
 
+# Every option: name -> (default, type or tuple of choices, help).
+_OPTIONS = {
+    "k": (4 * np.pi, parse_k, "wavenumber; accepts multiples of pi like 2pi"),
+    "ell": (-1, int, "first grating harmonic (nonzero integer)"),
+    "m": (1, int, "second grating harmonic (nonzero, != ell)"),
+    "envelope": ("quartic", ("gaussian", "quartic"), "transverse envelope"),
+    "g0": (1e-2, float, "envelope strength"),
+    "b": (1.0, float, "envelope width"),
+    "slab": (1.0, float, "slab thickness"),
+    "grid_n": (41, int, "momentum nodes (odd)"),
+    "slices": (None, int, "integration slices"),
+    "tol": (1e-6, float, "predicate tolerance"),
+    "side": ("left", ("left", "right"), "incidence side"),
+    "method": ("born", ("born", "closed"), "amplitude route"),
+    "thetas": (721, int, "angle sample count"),
+    "nx": (201, int, "x samples"),
+    "ny": (201, int, "y samples"),
+    "d": (100.0, float, "screen distance"),
+    "s": (10.0, float, "screen width"),
+    "s_max": (100.0, float, "largest screen width"),
+    "samples": (400, int, "screen width count"),
+    "ks": ("2pi,4pi,8pi,12pi", str, "comma-separated wavenumbers"),
+    "format": ("csv", ("csv", "json"), "output format"),
+    "out": (None, str, "output path ('-' for stdout)"),
+    "out_dir": (".", str, "output directory"),
+}
+
 # 17 significant digits round-trip every float64
 _VALUE = "{:.17g}"
 
@@ -93,25 +95,26 @@ def _echo_cfg(config) -> dict:
 
 
 def _config_value(key, value):
-    """A config-file value, put through the conversion and checks argparse
-    gives its flag; never a boolean, and null only where the default is."""
-    default, spec = _OPTIONS[key]
+    """An option's value, from its flag's text or a config file, converted
+    and checked by its _OPTIONS entry; never a boolean, and null only where
+    the default is."""
+    default, kind, _ = _OPTIONS[key]
     if value is None:
         if default is None:
             return None
-        raise ValueError(f"config {key} must not be null")
+        raise ValueError(f"{key} must not be null")
     if isinstance(value, bool):
-        raise ValueError(f"config {key} cannot take a boolean, got {value!r}")
-    convert = spec.get("type", str)
-    if convert is int and isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"config {key} must be an integer, got {value!r}")
+        raise ValueError(f"{key} cannot take a boolean, got {value!r}")
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise ValueError(f"{key} must be one of {kind}, got {value!r}")
+        return value
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{key} must be an integer, got {value!r}")
     try:
-        value = convert(value)
-    except TypeError:
-        raise ValueError(f"config {key} cannot take {value!r}") from None
-    if "choices" in spec and value not in spec["choices"]:
-        raise ValueError(f"config {key} must be one of {spec['choices']}, got {value!r}")
-    return value
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{key} cannot take {value!r}") from None
 
 
 def _resolve(args, keys) -> dict:
@@ -135,9 +138,7 @@ def _resolve(args, keys) -> dict:
     for key in keys:
         val = getattr(args, key, None)
         if val is not None:
-            cfg[key] = val
-    if "k" in cfg:
-        cfg["k"] = parse_k(cfg["k"])
+            cfg[key] = _config_value(key, val)
     return cfg
 
 
@@ -192,13 +193,13 @@ def read_table(path):
 
 def _potential(cfg) -> PotentialSpec:
     make = {"gaussian": gaussian_envelope, "quartic": quartic_envelope}
-    env = make[cfg["envelope"]](float(cfg["g0"]), float(cfg["b"]))
+    env = make[cfg["envelope"]](cfg["g0"], cfg["b"])
     params = ConstructionParams(
-        ell=int(cfg["ell"]),
-        m=int(cfg["m"]),
+        ell=cfg["ell"],
+        m=cfg["m"],
         envelope=env,
         ctx=WaveContext(k=cfg["k"]),
-        slab=float(cfg["slab"]),
+        slab=cfg["slab"],
     )
     return build_potential_2d(params)
 
@@ -226,7 +227,7 @@ def _thetas(n_forward: int, n_backward: int) -> np.ndarray:
 
 def _cmd_amplitude(cfg) -> int:
     v = _potential(cfg)
-    n = int(cfg["thetas"])
+    n = cfg["thetas"]
     if n < 2:
         raise ValueError(f"--thetas must be at least 2, got {n}")
     thetas = _thetas(n // 2 + n % 2, n // 2)
@@ -238,9 +239,7 @@ def _cmd_amplitude(cfg) -> int:
 
 def _evolved(cfg):
     v = _potential(cfg)
-    grid = gauss_grid(int(cfg["grid_n"]), v.params.ctx)
-    slices = cfg["slices"]
-    return evolve_transfer(v, grid, slices=None if slices is None else int(slices))
+    return evolve_transfer(v, gauss_grid(cfg["grid_n"], v.params.ctx), slices=cfg["slices"])
 
 
 def _cmd_verify(cfg) -> int:
@@ -255,7 +254,7 @@ def _cmd_verify(cfg) -> int:
         "m22_condition": op.m22_condition,
         "current_minus_inf": [j_lr[0].value.real, j_lr[0].value.imag],
         "current_plus_inf": [j_lr[1].value.real, j_lr[1].value.imag],
-        **classify(op, float(cfg["tol"])),
+        **classify(op, cfg["tol"]),
     }
     _write_json(cfg["out"], report, indent=2)
     return 0
@@ -272,7 +271,7 @@ def _cmd_xfer(cfg) -> int:
 def _cmd_power(cfg) -> int:
     v = _potential(cfg)
     summary = total_power_changes(v)
-    screen = ScreenSpec(d=float(cfg["d"]), s=float(cfg["s"]))
+    screen = ScreenSpec(d=cfg["d"], s=cfg["s"])
     report = {
         "config": _echo_cfg(cfg),
         "left_backward": summary.left_backward,
@@ -295,27 +294,27 @@ def _k_tag(k: float) -> str:
 
 
 def _cmd_fig2(cfg) -> int:
-    ks = [parse_k(tok) for tok in str(cfg["ks"]).split(",") if tok.strip()]
+    # WaveContext refuses a non-finite or non-positive k before it is tagged
+    ks = [WaveContext(parse_k(tok)).k for tok in cfg["ks"].split(",") if tok.strip()]
     if not ks:
         raise ValueError("--ks produced an empty wavenumber list")
     tags = [_k_tag(k) for k in ks]
     if len(set(tags)) < len(tags):
         raise ValueError(f"--ks {cfg['ks']} names two wavenumbers with one file name: {tags}")
-    n = int(cfg["samples"])
+    n = cfg["samples"]
     if n < 1:
         raise ValueError(f"--samples must be positive, got {n}")
-    s_max = float(cfg["s_max"])
-    slab = float(cfg["slab"])
-    s_values = np.linspace(s_max / n, s_max, n) * slab
+    slab = cfg["slab"]
+    s_values = np.linspace(cfg["s_max"] / n, cfg["s_max"], n) * slab
     curves = fig2_curves(
         s_values=s_values,
         ks=ks,
-        d=float(cfg["d"]) * slab,
-        g0=float(cfg["g0"]),
-        b=float(cfg["b"]),
+        d=cfg["d"] * slab,
+        g0=cfg["g0"],
+        b=cfg["b"],
         slab=slab,
-        ell=int(cfg["ell"]),
-        m=int(cfg["m"]),
+        ell=cfg["ell"],
+        m=cfg["m"],
     )
     os.makedirs(cfg["out_dir"], exist_ok=True)
     files = {}
@@ -374,9 +373,10 @@ def build_parser() -> argparse.ArgumentParser:
     for command, (_, help_text, names) in _COMMANDS.items():
         sub = subs.add_parser(command, help=help_text)
         for name in names:
-            sub.add_argument(
-                f"--{name.replace('_', '-')}", default=None, **_OPTIONS[name][1]
-            )
+            _, kind, text = _OPTIONS[name]
+            # a choice option lists its choices in --help, as argparse would
+            shown = {"metavar": "{" + ",".join(kind) + "}"} if isinstance(kind, tuple) else {}
+            sub.add_argument(f"--{name.replace('_', '-')}", default=None, help=text, **shown)
         sub.add_argument("--config", default=None, help="JSON config file")
     return parser
 

@@ -105,7 +105,10 @@ class PotentialSpec:
     Attributes
     ----------
     x_support, y_support : (float, float)
-        Support intervals; the potential vanishes outside.
+        Support intervals. The transforms and the transfer-matrix kernel
+        treat the potential as zero outside them; ``value`` of a sampled
+        copy (:func:`potential_from_samples`) clamps its arguments to them
+        instead, as FITPACK's interpolant does.
     z_support : (float, float) or None
         Present only for 3D potentials; the scattering axis is then z.
     value_fn : callable

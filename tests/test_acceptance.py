@@ -24,7 +24,6 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from numpy.polynomial.legendre import leggauss
 
 from uniscat import (
     ConstructionParams,
@@ -44,7 +43,6 @@ from uniscat import (
     fig2_curves,
     gauss_grid,
     gaussian_envelope,
-    potential_value_2d,
     quartic_envelope,
     random_smooth_potential,
     screen_power,
@@ -428,30 +426,7 @@ def test_criterion_09_three_dimensional_construction(report):
     assert dt < 120.0
 
 
-def _envelope_ft_quadrature(env, q, n=400):
-    nodes, weights = leggauss(n)
-    y0, y1 = env.support
-    y = y0 + 0.5 * (y1 - y0) * (nodes + 1.0)
-    w = 0.5 * (y1 - y0) * weights
-    return np.exp(-1j * np.outer(np.atleast_1d(q), y)) @ (w * env.value(y))
-
-
-def _constructed_ft_quadrature(params, kx, ky, nx=420, ny=220):
-    env = params.envelope
-    gx, wx = leggauss(nx)
-    gy, wy = leggauss(ny)
-    x = 0.5 * params.slab * (gx + 1.0)
-    wxs = 0.5 * params.slab * wx
-    y0, y1 = env.support
-    y = y0 + 0.5 * (y1 - y0) * (gy + 1.0)
-    wys = 0.5 * (y1 - y0) * wy
-    vals = potential_value_2d(params, x[:, None], y[None, :])
-    ex = np.exp(-1j * np.outer(kx, x)) * wxs
-    ey = np.exp(-1j * np.outer(ky, y)) * wys
-    return np.einsum("ma,ab,mb->m", ex, vals, ey)
-
-
-def test_criterion_10_fourier_transform_oracles(report):
+def test_criterion_10_fourier_transform_oracles(report, envelope_ft_quadrature, brute_ft_2d):
     t0 = time.time()
     rng = np.random.default_rng(2026)
     worsts = {}
@@ -460,7 +435,7 @@ def test_criterion_10_fourier_transform_oracles(report):
     for kind, make in (("gaussian", gaussian_envelope), ("quartic", quartic_envelope)):
         env = make(1e-2, 1.0)
         a = env.ft(q)
-        b = _envelope_ft_quadrature(env, q)
+        b = envelope_ft_quadrature(env, q)
         worsts[kind] = float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
 
     worst2d = 0.0
@@ -472,7 +447,7 @@ def test_criterion_10_fourier_transform_oracles(report):
         kx = np.concatenate([kx, poles + 1e-5 * K, poles - 1e-5 * K])
         ky = rng.uniform(-6.0, 6.0, kx.size)
         a = constructed_ft_2d(params, kx, ky)
-        b = _constructed_ft_quadrature(params, kx, ky)
+        b = brute_ft_2d(build_potential_2d(params), kx, ky, nx=420, ny=220)
         worst2d = max(worst2d, float(np.max(np.abs(a - b)) / np.max(np.abs(b))))
     dt = time.time() - t0
     worst = max(worst2d, *worsts.values())

@@ -133,6 +133,11 @@ def test_grazing_guards():
         born_t_values(v, "up", "plus", 0.0)
     with pytest.raises(ValueError):
         born_t_values(v, "left", "sideways", 0.0)
+    with pytest.raises(ValueError):
+        closed_form_t_left(params, "sideways", 0.0)
+    # a potential that is not a construction carries no wavenumber
+    with pytest.raises(ValueError):
+        born_f_2d(random_smooth_potential(1), "left", 0.0)
 
 
 def test_amplitudes_return_complex_for_a_scalar_and_keep_an_array_shape():
@@ -229,6 +234,14 @@ def test_3d_right_invisibility_and_reciprocity():
     assert np.max(np.abs(grazing - near)) < 1e-8 * scale
     with pytest.raises(ValueError):
         born_t_values(v, "left", "plus", 0.0)
+    with pytest.raises(ValueError):
+        born_f_2d(v, "left", 0.0)
+    # and the 3D routes refuse a 2D potential
+    v2 = build_potential_2d(replace(params, envelope=quartic_envelope(1e-2, 1.0)))
+    with pytest.raises(ValueError):
+        born_t_3d(v2, "left", "plus", 0.0, 0.0)
+    with pytest.raises(ValueError):
+        born_f_3d(v2, "left", 0.0, 0.0)
 
 
 def test_closed_form_pole_neighborhoods_are_finite():

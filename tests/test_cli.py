@@ -165,6 +165,9 @@ def test_amplitude_json_format(tmp_path):
     assert blob["columns"] == ["theta", "re_f", "im_f", "abs_f"]
     assert len(blob["rows"]) == 21
     assert blob["config"]["side"] == "left"
+    # read_table reads back the CSV form only
+    with pytest.raises(ValueError):
+        read_table(out)
 
 
 def test_verify_report(tmp_path):
@@ -387,18 +390,26 @@ def test_config_file_layering(tmp_path):
     assert config["k"] == 2 * np.pi
     assert config["nx"] == 7 and config["ny"] == 5
     assert data.shape == (35, 4)
+    # a null slice count is the default's own null: the evolution's count
+    cfg2 = tmp_path / "null.json"
+    cfg2.write_text(json.dumps({"slices": None}))
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert main(["xfer", "--config", str(cfg2), "--grid-n", "9", "--out", str(a)]) == 0
+    assert main(["xfer", "--grid-n", "9", "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
 
 
 def test_fig2_refuses_two_wavenumbers_with_one_file_name(tmp_path):
-    # the file tag keeps six significant digits, so these two curves would
-    # share fig2_k7.csv; the refusal comes before any output is made
-    for ks in ("7.0000001,7.0000002", "2pi,2pi"):
+    # the file tag keeps six significant digits, so the first two curves
+    # would share fig2_k7.csv, and a non-finite wavenumber has no tag at
+    # all; the refusal comes before any output is made
+    for ks in ("7.0000001,7.0000002", "2pi,2pi", "inf", "1e400", "2pi,inf", "nan", "-inf"):
         out = tmp_path / "out"
-        assert main(["fig2", "--ks", ks, "--samples", "3", "--out-dir", str(out)]) == 2
+        assert main(["fig2", f"--ks={ks}", "--samples", "3", "--out-dir", str(out)]) == 2, ks
         assert not out.exists()
 
 
-def test_error_exit_codes(tmp_path):
+def test_error_exit_codes(tmp_path, capsys):
     # bad wavenumber text -> argument error
     assert main(["construct", "--k", "nope", "--out", str(tmp_path / "x.csv")]) == 2
     # unknown config key -> argument error
@@ -434,8 +445,15 @@ def test_error_exit_codes(tmp_path):
     cfg6 = tmp_path / "null.json"
     cfg6.write_text(json.dumps({"g0": None, "slices": None}))
     assert main(["verify", "--config", str(cfg6), "--out", str(tmp_path / "u.json")]) == 2
+    # a config file holds one JSON object, and an option's value is one
+    # number or string that its type converts
+    for name, blob in (("array", [41]), ("list", {"grid_n": [41]}), ("huge", {"g0": 10**400})):
+        cfg8 = tmp_path / f"{name}.json"
+        cfg8.write_text(json.dumps(blob))
+        assert main(["verify", "--config", str(cfg8), "--out", str(tmp_path / "a.json")]) == 2, name
     # a non-finite strength, a negative or non-finite tolerance, and a sample
-    # count below one are argument errors, not numbers to compute with
+    # count below one are argument errors, not numbers to compute with; a
+    # flag's text gets the conversion and checks of a config value
     for argv in (
         ["power", "--g0", "nan"],
         ["power", "--g0", "1e400"],
@@ -443,8 +461,18 @@ def test_error_exit_codes(tmp_path):
         ["verify", "--tol", "nan"],
         ["verify", "--tol", "-1"],
         ["construct", "--nx", "0"],
+        ["amplitude", "--thetas", "1"],
+        ["verify", "--grid-n", "x"],
+        ["construct", "--envelope", "box"],
+        ["construct", "--nx", "2.5"],
     ):
+        capsys.readouterr()
         assert main([*argv, "--out", str(tmp_path / "t.out")]) == 2, argv
+        assert capsys.readouterr().err.startswith("error: "), argv
+        assert not (tmp_path / "t.out").exists(), argv
+    for argv in (["fig2", "--ks", ","], ["fig2", "--samples", "0"]):
+        assert main([*argv, "--out-dir", str(tmp_path / "fig2")]) == 2, argv
+        assert not (tmp_path / "fig2").exists(), argv
     # no option takes a JSON boolean, though Python's bool is an int
     for key in ("slices", "g0"):
         cfg7 = tmp_path / f"bool_{key}.json"

@@ -34,24 +34,6 @@ def _params(ell=-1, m=1, k=4 * np.pi, g0=1e-2, b=1.0, slab=1.0, kind="quartic"):
     return ConstructionParams(ell=ell, m=m, envelope=env, ctx=WaveContext(k=k), slab=slab)
 
 
-def _brute_ft(params, kx, ky, nx=420, ny=220):
-    """Direct tensor quadrature of integral dx dy e^{-i(Kx x + Ky y)} v."""
-    env = params.envelope
-    gx, wx = leggauss(nx)
-    gy, wy = leggauss(ny)
-    X = 0.5 * params.slab * (gx + 1.0)
-    WX = 0.5 * params.slab * wx
-    y0, y1 = env.support
-    Y = y0 + 0.5 * (y1 - y0) * (gy + 1.0)
-    WY = 0.5 * (y1 - y0) * wy
-    V = potential_value_2d(params, X[:, None], Y[None, :])
-    kx = np.atleast_1d(np.asarray(kx, dtype=float))
-    ky = np.atleast_1d(np.asarray(ky, dtype=float))
-    ex = np.exp(-1j * np.outer(kx, X)) * WX
-    ey = np.exp(-1j * np.outer(ky, Y)) * WY
-    return np.einsum("ma,ab,mb->m", ex, V, ey)
-
-
 def test_phase_over_offset_limit_and_seam():
     assert complex(phase_over_offset(0.0)) == 1j
     # series / exact handoff
@@ -87,7 +69,7 @@ def test_series_and_closed_form_agree():
         assert np.max(np.abs(a - b)) < 1e-10 * np.max(np.abs(a))
 
 
-def test_closed_form_matches_brute_quadrature():
+def test_closed_form_matches_brute_quadrature(brute_ft_2d):
     params = _params()
     K = params.K
     rng = np.random.default_rng(21)
@@ -100,7 +82,7 @@ def test_closed_form_matches_brute_quadrature():
     )
     ky = np.concatenate([rng.uniform(-6.0, 6.0, 12), np.full(7, 1.3)])
     got = constructed_ft_2d(params, kx, ky)
-    want = _brute_ft(params, kx, ky)
+    want = brute_ft_2d(build_potential_2d(params), kx, ky, nx=420, ny=220)
     assert np.max(np.abs(got - want)) < 1e-10 * np.max(np.abs(want))
 
 
@@ -213,8 +195,18 @@ def test_construction_validation():
         ConstructionParams(ell=-1, m=1, envelope=env, ctx=ctx, slab=0.0)
     with pytest.raises(ValueError):
         ConstructionParams(ell=-1, m=1, envelope="not an envelope", ctx=ctx)
+    # a 3D envelope is a pair of Envelope objects
+    with pytest.raises(ValueError):
+        ConstructionParams(ell=-1, m=1, envelope=(env, env, env), ctx=ctx)
+    with pytest.raises(ValueError):
+        ConstructionParams(ell=-1, m=1, envelope=(env, "not an envelope"), ctx=ctx)
     params3 = ConstructionParams(ell=-1, m=1, envelope=(env, env), ctx=ctx)
     with pytest.raises(ValueError):
         build_potential_2d(params3)
+    params2 = ConstructionParams(ell=-1, m=1, envelope=env, ctx=ctx)
     with pytest.raises(ValueError):
-        build_potential_3d(ConstructionParams(ell=-1, m=1, envelope=env, ctx=ctx))
+        build_potential_3d(params2)
+    with pytest.raises(ValueError):
+        potential_value_3d(params2, 0.5, 0.5, 0.25)
+    with pytest.raises(ValueError):
+        constructed_ft_3d(params2, 0.0, 0.0, 0.0)

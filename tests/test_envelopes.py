@@ -15,18 +15,6 @@ from uniscat import Envelope, gaussian_envelope, quartic_envelope
 from uniscat.envelopes import _quartic_moment_integral
 
 
-def _ft_quadrature(env, q, n=400):
-    """Brute-force gt(q) by Gauss-Legendre quadrature over the support."""
-    lo, hi = env.support
-    x, w = leggauss(n)
-    y = lo + 0.5 * (hi - lo) * (x + 1.0)
-    wy = 0.5 * (hi - lo) * w
-    q = np.atleast_1d(np.asarray(q, dtype=float))
-    vals = env.value(y)
-    out = np.exp(-1j * np.outer(q, y)) @ (wy * vals)
-    return out
-
-
 def test_quartic_pointwise_values():
     env = quartic_envelope(2.0, 1.0)
     # g(b/2) = g0 / 16 for the normalized double-parabola bump
@@ -44,7 +32,7 @@ def test_quartic_zero_frequency_moment():
         assert complex(env.ft(0.0)) == pytest.approx(g0 * b / 30.0, rel=1e-14)
 
 
-def test_quartic_ft_matches_quadrature():
+def test_quartic_ft_matches_quadrature(envelope_ft_quadrature):
     env = quartic_envelope(1e-2, 1.3)
     rng = np.random.default_rng(11)
     q = np.concatenate(
@@ -55,7 +43,7 @@ def test_quartic_ft_matches_quadrature():
         ]
     )
     got = env.ft(q)
-    want = _ft_quadrature(env, q)
+    want = envelope_ft_quadrature(env, q)
     assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
 
@@ -136,12 +124,12 @@ def test_quartic_second_derivative():
     assert env.second_derivative(2.5) == 0.0
 
 
-def test_gaussian_ft_closed_form_and_quadrature():
+def test_gaussian_ft_closed_form_and_quadrature(envelope_ft_quadrature):
     env = gaussian_envelope(0.5, 0.8)
     q = np.array([0.0, 0.7, -2.1, 5.0])
     want = 0.5 * 0.8 * np.sqrt(2.0 * np.pi) * np.exp(-(0.8**2) * q**2 / 2.0)
     assert np.allclose(env.ft(q), want, rtol=1e-14)
-    quad = _ft_quadrature(env, q, n=600)
+    quad = envelope_ft_quadrature(env, q, n=600)
     assert np.max(np.abs(env.ft(q) - quad)) < 1e-12 * np.max(np.abs(want))
 
 

@@ -22,24 +22,6 @@ from uniscat import (
 from uniscat.potentials import QUAD_NODES, _gl_rule
 
 
-def _brute_ft_2d(v, kx, ky, nx=260, ny=260):
-    """Dense tensor-product quadrature of the defining Fourier integral."""
-    x0, x1 = v.x_support
-    y0, y1 = v.y_support
-    gx, wx = leggauss(nx)
-    gy, wy = leggauss(ny)
-    X = x0 + 0.5 * (x1 - x0) * (gx + 1.0)
-    Y = y0 + 0.5 * (y1 - y0) * (gy + 1.0)
-    WX = 0.5 * (x1 - x0) * wx
-    WY = 0.5 * (y1 - y0) * wy
-    V = v.value(X[:, None], Y[None, :])
-    kx = np.atleast_1d(np.asarray(kx, dtype=float))
-    ky = np.atleast_1d(np.asarray(ky, dtype=float))
-    ex = np.exp(-1j * np.outer(kx, X)) * WX
-    ey = np.exp(-1j * np.outer(ky, Y)) * WY
-    return np.einsum("ma,ab,mb->m", ex, V, ey)
-
-
 def test_random_potential_is_deterministic():
     a = random_smooth_potential(42)
     b = random_smooth_potential(42)
@@ -59,13 +41,13 @@ def test_random_potential_support_and_terms():
     assert v.value(0.5, 0.3) != 0.0
 
 
-def test_generic_ft_matches_brute_force():
+def test_generic_ft_matches_brute_force(brute_ft_2d):
     v = random_smooth_potential(5)
     rng = np.random.default_rng(1)
     kx = rng.uniform(-20.0, 20.0, 8)
     ky = rng.uniform(-10.0, 10.0, 8)
     got = v.ft(kx, ky)
-    want = _brute_ft_2d(v, kx, ky)
+    want = brute_ft_2d(v, kx, ky)
     assert np.max(np.abs(got - want)) < 1e-10 * np.max(np.abs(want))
 
 
@@ -265,6 +247,8 @@ def test_dimension_guards():
         v3.value(0.5, 0.5)
     with pytest.raises(ValueError):
         v3.ft(1.0, 1.0)
+    with pytest.raises(ValueError):
+        sample_potential(v3, 5, 5)
 
 
 def test_separable_3d_box_ft_by_quadrature():

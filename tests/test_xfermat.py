@@ -140,36 +140,6 @@ def test_generator_is_nilpotent():
             assert np.max(np.abs(h @ h)) <= 1e-14 * np.max(np.abs(h)) ** 2
 
 
-def _dense_rk4(v, grid, slices):
-    """Classical RK4 on dU/dx = -i H U with the dense generator."""
-    x0, x1 = map(float, v.x_support)
-    h = (x1 - x0) / slices
-    a = [-1j * effective_hamiltonian(v, grid, x)
-         for x in np.linspace(x0, x1, 2 * slices + 1)]
-    u = np.eye(2 * grid.n, dtype=complex)
-    for i in range(slices):
-        a_cur, a_mid, a_next = a[2 * i : 2 * i + 3]
-        k1 = a_cur @ u
-        k2 = a_mid @ (u + (0.5 * h) * k1)
-        k3 = a_mid @ (u + (0.5 * h) * k2)
-        k4 = a_next @ (u + h * k3)
-        u = u + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return u
-
-
-def test_factored_evolution_equals_dense_generator_rk4():
-    # 70 slices span three kernel chunks, the last one partial
-    assert 70 > 2 * xfermat._CHUNK_SLICES and 70 % xfermat._CHUNK_SLICES
-    grid = gauss_grid(15, CTX)
-    v = _constructed()
-    copy = potential_from_samples(*sample_potential(v, 101, 101))
-    for pot in (random_smooth_potential(9, amplitude=300.0), v, copy):
-        for slices in (30, 70):
-            got = evolve_transfer(pot, grid, slices=slices).matrix
-            want = _dense_rk4(pot, grid, slices)
-            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-
-
 def _dense_w_rk4(v, grid, slices):
     """Classical RK4 on dW/dx = -i H (I + W) with the dense generator, the
     identity's part added as A rather than through I + W."""
@@ -186,6 +156,19 @@ def _dense_w_rk4(v, grid, slices):
         k4 = a_next @ (w + h * k3) + a_next
         w = w + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return w
+
+
+def test_factored_evolution_equals_dense_generator_rk4():
+    # 70 slices span three kernel chunks, the last one partial
+    assert 70 > 2 * xfermat._CHUNK_SLICES and 70 % xfermat._CHUNK_SLICES
+    grid = gauss_grid(15, CTX)
+    v = _constructed()
+    copy = potential_from_samples(*sample_potential(v, 101, 101))
+    for pot in (random_smooth_potential(9, amplitude=300.0), v, copy):
+        for slices in (30, 70):
+            got = evolve_transfer(pot, grid, slices=slices).matrix
+            want = np.eye(2 * grid.n) + _dense_w_rk4(pot, grid, slices)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_scattered_part_equals_dense_w_rk4_to_its_own_precision():
